@@ -1,4 +1,4 @@
-//! ABL-1..4 — the §7 optimization ablations (DESIGN.md §5):
+//! ABL-1..4 — the §7 optimization ablations (README.md, `repro --exp abl-*`):
 //! duplicate-communication elimination, schedule reuse, fused
 //! multicast_shift, overlap vs temporary shift.
 

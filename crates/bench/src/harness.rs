@@ -1,5 +1,5 @@
-//! Parallel repro harness: the full (workload × size × grid × machine ×
-//! backend) experiment matrix of the paper's §8 evaluation, run by a
+//! Parallel repro harness: the full (workload × size × grid × machine)
+//! experiment matrix of the paper's §8 evaluation, run by a
 //! work-stealing pool of `std::thread::scope` workers.
 //!
 //! Execution is *virtual-time* deterministic — every cell builds its own
@@ -16,14 +16,16 @@
 //! options, grid) key) and the schedule cache
 //! (`f90d_comm::sched_cache` — one inspector build per (kind, grid,
 //! request-pattern) key, across cells *and* across repeated matrix
-//! runs). Per-run hit/miss deltas for both are surfaced in the report;
-//! neither cache changes a cell's virtual metrics.
+//! runs). Each run's hit/miss totals for both are summed from the
+//! cells' own run traces — never read off the process-global counters,
+//! which concurrent runs in the same process share — and neither cache
+//! changes a cell's virtual metrics.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use f90d_core::{compile, vm_cache, Backend, CompileOptions};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ExecMode, Machine, MachineSpec};
 use serde::json::Json;
@@ -63,20 +65,17 @@ pub struct Cell {
     pub grid: Vec<i64>,
     /// Machine model: `ipsc860` or `ncube2`.
     pub machine: &'static str,
-    /// Execution backend.
-    pub backend: Backend,
 }
 
 impl Cell {
-    /// Canonical id, e.g. `jacobi/n96/g2x2/ipsc860/vm`.
+    /// Canonical id, e.g. `jacobi/n96/g2x2/ipsc860`.
     pub fn id(&self) -> String {
         format!(
-            "{}/n{}/g{}/{}/{}",
+            "{}/n{}/g{}/{}",
             self.workload,
             self.n,
             grid_name(&self.grid),
-            self.machine,
-            backend_name(self.backend)
+            self.machine
         )
     }
 
@@ -117,11 +116,11 @@ pub struct CellResult {
     /// Host wall clock for the run (informational — never gated by
     /// default, scheduling-dependent).
     pub wall_s: f64,
-    /// Program-cache outcome: `Some(true)` hit, `Some(false)` this cell
-    /// performed the lowering, `None` tree walk. Which cell of a key
-    /// group lowers depends on worker scheduling, so this is
-    /// informational; the *totals* are deterministic.
-    pub cache_hit: Option<bool>,
+    /// Program-cache outcome: `true` hit, `false` this cell performed
+    /// the lowering. Which cell of a key group lowers depends on worker
+    /// scheduling, so this is informational; the *totals* are
+    /// deterministic.
+    pub cache_hit: bool,
     /// Schedule-cache hits during this cell's run (informational — which
     /// cell of a pattern group builds depends on worker scheduling).
     pub sched_hits: u64,
@@ -133,7 +132,7 @@ pub struct CellResult {
     /// grants depend on which cells run concurrently — and never gated.
     pub workers: usize,
     /// FORALL executions dispatched to a native-tier kernel (always 0
-    /// for tree-walk cells or under `repro --no-native`). Informational,
+    /// under `repro --no-native`). Informational,
     /// never gated — the tiers are bit-identical on every gated metric.
     pub native_matched: u64,
     /// FORALL executions that ran the bytecode element loop instead.
@@ -156,15 +155,15 @@ pub struct MatrixReport {
     pub jobs: usize,
     /// Wall clock of the whole run.
     pub wall_s: f64,
-    /// Program-cache hits during this run.
+    /// Program-cache hits of this run's cells.
     pub cache_hits: u64,
-    /// Program-cache misses (lowerings) during this run.
+    /// Program-cache misses (lowerings) of this run's cells.
     pub cache_misses: u64,
-    /// Schedule-cache hits during this run (hits + misses is
+    /// Schedule-cache hits of this run's cells (hits + misses is
     /// deterministic; the split depends on process cache history — a
     /// second matrix run in the same process is all hits).
     pub sched_hits: u64,
-    /// Schedule-cache misses (inspector builds) during this run.
+    /// Schedule-cache misses (inspector builds) of this run's cells.
     pub sched_misses: u64,
     /// Local-phase execution mode the cells ran under.
     pub exec: ExecMode,
@@ -182,21 +181,6 @@ fn grid_name(grid: &[i64]) -> String {
         .join("x")
 }
 
-fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::TreeWalk => "treewalk",
-        Backend::Vm => "vm",
-    }
-}
-
-fn backend_of(name: &str) -> Option<Backend> {
-    match name {
-        "treewalk" => Some(Backend::TreeWalk),
-        "vm" => Some(Backend::Vm),
-        _ => None,
-    }
-}
-
 /// Intern a serialized workload name back to the matrix's static name
 /// (also validates it).
 fn workload_of(name: &str) -> Option<&'static str> {
@@ -211,7 +195,7 @@ fn machine_of(name: &str) -> Option<&'static str> {
 }
 
 /// The experiment matrix at `scale`, in canonical order: workload, then
-/// size, then grid, then machine, then backend.
+/// size, then grid, then machine.
 pub fn matrix(scale: Scale) -> Vec<Cell> {
     // (workload, sizes, grids) per scale.
     type Row = (&'static str, Vec<i64>, Vec<Vec<i64>>);
@@ -240,15 +224,12 @@ pub fn matrix(scale: Scale) -> Vec<Cell> {
         for &n in &sizes {
             for grid in &grids {
                 for machine in ["ipsc860", "ncube2"] {
-                    for backend in [Backend::TreeWalk, Backend::Vm] {
-                        cells.push(Cell {
-                            workload,
-                            n,
-                            grid: grid.clone(),
-                            machine,
-                            backend,
-                        });
-                    }
+                    cells.push(Cell {
+                        workload,
+                        n,
+                        grid: grid.clone(),
+                        machine,
+                    });
                 }
             }
         }
@@ -281,7 +262,7 @@ pub fn run_cell_cfg(cell: &Cell, sched_cache: bool, exec: ExecMode) -> CellResul
 /// --no-native`). Every gated metric is identical either way; only host
 /// wall clock and the informational `native_kernels` counters change.
 pub fn run_cell_native(cell: &Cell, sched_cache: bool, exec: ExecMode, native: bool) -> CellResult {
-    let mut opts = CompileOptions::on_grid(&cell.grid).with_backend(cell.backend);
+    let mut opts = CompileOptions::on_grid(&cell.grid);
     opts.sched_cache = sched_cache;
     opts.exec_mode = Some(exec);
     opts.opt.native_kernels = native;
@@ -439,9 +420,6 @@ pub fn run_matrix_cfg(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
     if let Some(total) = cfg.budget {
         budget::global().set_total(total);
     }
-    let (hits0, misses0) = (vm_cache().hits(), vm_cache().misses());
-    let sched = f90d_comm::sched_cache::global();
-    let (shits0, smisses0) = (sched.hits(), sched.misses());
     let t0 = Instant::now();
 
     let queues: Vec<Mutex<VecDeque<usize>>> =
@@ -468,20 +446,23 @@ pub fn run_matrix_cfg(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
         }
     });
 
+    let wall_s = t0.elapsed().as_secs_f64();
+    let cells: Vec<CellResult> = slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every cell ran"))
+        .collect();
+    let cache_hits = cells.iter().filter(|c| c.cache_hit).count() as u64;
     MatrixReport {
         suite: cfg.scale.name(),
         jobs,
-        wall_s: t0.elapsed().as_secs_f64(),
-        cache_hits: vm_cache().hits() - hits0,
-        cache_misses: vm_cache().misses() - misses0,
-        sched_hits: sched.hits() - shits0,
-        sched_misses: sched.misses() - smisses0,
+        wall_s,
+        cache_hits,
+        cache_misses: cells.len() as u64 - cache_hits,
+        sched_hits: cells.iter().map(|c| c.sched_hits).sum(),
+        sched_misses: cells.iter().map(|c| c.sched_misses).sum(),
         exec: cfg.exec,
         worker_budget: budget::global().total(),
-        cells: slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every cell ran"))
-            .collect(),
+        cells,
     }
 }
 
@@ -492,15 +473,14 @@ pub fn run_matrix_cfg(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
 /// `--jobs` values.
 pub fn render_table(rep: &MatrixReport) -> String {
     let mut out = String::new();
-    out.push_str("workload\tn\tgrid\tmachine\tbackend\tvirt_s\tmessages\tbytes\n");
+    out.push_str("workload\tn\tgrid\tmachine\tvirt_s\tmessages\tbytes\n");
     for c in &rep.cells {
         out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
             c.cell.workload,
             c.cell.n,
             grid_name(&c.cell.grid),
             c.cell.machine,
-            backend_name(c.cell.backend),
             c.virt_s,
             c.messages,
             c.bytes
@@ -530,10 +510,6 @@ pub fn report_json(rep: &MatrixReport) -> Json {
                     Json::Arr(c.cell.grid.iter().map(|&d| Json::Num(d as f64)).collect()),
                 ),
                 ("machine".into(), Json::Str(c.cell.machine.into())),
-                (
-                    "backend".into(),
-                    Json::Str(backend_name(c.cell.backend).into()),
-                ),
                 ("virt_s".into(), Json::Num(c.virt_s)),
                 ("messages".into(), Json::Num(c.messages as f64)),
                 ("bytes".into(), Json::Num(c.bytes as f64)),
@@ -542,13 +518,7 @@ pub fn report_json(rep: &MatrixReport) -> Json {
                     Json::Arr(c.printed.iter().map(|s| Json::Str(s.clone())).collect()),
                 ),
                 ("wall_s".into(), Json::Num(c.wall_s)),
-                (
-                    "cache_hit".into(),
-                    match c.cache_hit {
-                        Some(b) => Json::Bool(b),
-                        None => Json::Null,
-                    },
-                ),
+                ("cache_hit".into(), Json::Bool(c.cache_hit)),
                 ("sched_hits".into(), Json::Num(c.sched_hits as f64)),
                 ("sched_misses".into(), Json::Num(c.sched_misses as f64)),
                 // Pool workers leased for this cell's local phases.
@@ -629,7 +599,13 @@ fn cell_key(c: &Json) -> Result<String, String> {
     let field = |k: &'static str| c.get(k).ok_or(k);
     let workload = field("workload")?.as_str().ok_or("workload")?;
     let machine = field("machine")?.as_str().ok_or("machine")?;
-    let backend = field("backend")?.as_str().ok_or("backend")?;
+    // Documents written while the matrix also ran a second execution
+    // backend tag every cell; only the surviving `vm` rows are valid.
+    if let Some(backend) = c.get("backend") {
+        if backend.as_str() != Some("vm") {
+            return Err(format!("unknown backend {backend:?}"));
+        }
+    }
     let cell = Cell {
         workload: workload_of(workload).ok_or_else(|| format!("unknown workload {workload}"))?,
         n: field("n")?.as_f64().ok_or("n")? as i64,
@@ -640,7 +616,6 @@ fn cell_key(c: &Json) -> Result<String, String> {
             .map(|d| d.as_f64().map(|f| f as i64).ok_or("grid".to_string()))
             .collect::<Result<_, _>>()?,
         machine: machine_of(machine).ok_or_else(|| format!("unknown machine {machine}"))?,
-        backend: backend_of(backend).ok_or_else(|| format!("unknown backend {backend}"))?,
     };
     Ok(cell.id())
 }
@@ -785,14 +760,13 @@ mod tests {
     }
 
     #[test]
-    fn every_scale_covers_all_workloads_machines_backends() {
+    fn every_scale_covers_all_workloads_and_machines() {
         for scale in [Scale::Tiny, Scale::Quick, Scale::Full] {
             let cells = matrix(scale);
             for w in ["gaussian", "jacobi", "fft", "irregular"] {
                 assert!(cells.iter().any(|c| c.workload == w), "{scale:?} {w}");
             }
             assert!(cells.iter().any(|c| c.machine == "ncube2"));
-            assert!(cells.iter().any(|c| c.backend == Backend::Vm));
         }
     }
 }

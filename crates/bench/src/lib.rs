@@ -1,7 +1,7 @@
 //! # f90d-bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§8) plus
-//! the ablations DESIGN.md calls out:
+//! the §7 optimization ablations:
 //!
 //! * [`workloads`] — the Fortran 90D/HPF benchmark programs (Gaussian
 //!   elimination from the Fortran D benchmark suite, Jacobi, the FFT

@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use f90d_core::{compile, Backend, CompileOptions};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{Machine, MachineSpec, Topology, Value};
 
@@ -141,9 +141,9 @@ fn run_cell(workload: &'static str, topology: &'static str, p: i64) -> ScalingRo
     };
     let spec = spec_for(topology, p);
     check_spec(&spec, p);
-    // The VM backend with native kernels: the fastest tier, and the one
+    // Default options, native kernels on: the fastest tier, and the one
     // that exercises lazy segments through raw slice views.
-    let opts = CompileOptions::on_grid(&grid).with_backend(Backend::Vm);
+    let opts = CompileOptions::on_grid(&grid);
     let compiled = compile(&src, &opts).expect("workload compiles");
 
     let run = |contention: bool| -> (f64, u64, u64) {

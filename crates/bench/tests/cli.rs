@@ -44,6 +44,7 @@ fn zero_jobs_and_workers_exit_2() {
 fn other_bad_flags_still_exit_2() {
     expect_exit_2(&["--repeat", "0"], "--repeat expects");
     expect_exit_2(&["--exec", "warp-speed"], "--exec expects");
-    expect_exit_2(&["--backend", "jit"], "--backend expects");
+    // The execution-backend axis is gone; the flag is now unknown.
+    expect_exit_2(&["--backend", "vm"], "unknown argument");
     expect_exit_2(&["--frobnicate"], "unknown argument");
 }

@@ -1,16 +1,16 @@
 //! Golden-corpus runner: every `corpus/*.f90d` program (regression
 //! cases promoted out of the property-test batteries — see
-//! `corpus/README.md`) runs on a 4-rank grid, on both backends, with
-//! the communication optimizers off and on, and its PRINT output must
-//! be bit-identical across all four configurations **and** to the
-//! committed `<name>.expected` file.
+//! `corpus/README.md`) runs on a 4-rank grid with the communication
+//! optimizers off and on, and its PRINT output must be bit-identical
+//! across both configurations **and** to the committed
+//! `<name>.expected` file.
 //!
 //! Re-bless intentional output changes with
 //! `CORPUS_BLESS=1 cargo test -p f90d-bench --test corpus`.
 
 use std::path::{Path, PathBuf};
 
-use f90d_core::{compile, Backend, CompileOptions};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{Machine, MachineSpec};
 
@@ -21,8 +21,8 @@ fn corpus_dir() -> PathBuf {
 }
 
 /// PRINT output of one program under one configuration.
-fn printed(src: &str, backend: Backend, optimize: bool) -> Vec<String> {
-    let mut opts = CompileOptions::on_grid(&GRID).with_backend(backend);
+fn printed(src: &str, optimize: bool) -> Vec<String> {
+    let mut opts = CompileOptions::on_grid(&GRID);
     opts.opt.comm_plan = optimize;
     opts.opt.hoist_invariant_comm = optimize;
     let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("corpus program: {e}"));
@@ -50,21 +50,13 @@ fn corpus_programs_match_golden_output() {
         let src = std::fs::read_to_string(&path).unwrap();
         let golden_path = path.with_extension("expected");
 
-        let base = printed(&src, Backend::TreeWalk, false);
+        let base = printed(&src, false);
         assert!(!base.is_empty(), "{name}: corpus programs must PRINT");
-        for (backend, optimize) in [
-            (Backend::TreeWalk, true),
-            (Backend::Vm, false),
-            (Backend::Vm, true),
-        ] {
-            let got = printed(&src, backend, optimize);
-            assert_eq!(
-                got,
-                base,
-                "{name}: PRINT diverged ({backend:?}, optimizers {})",
-                if optimize { "on" } else { "off" }
-            );
-        }
+        assert_eq!(
+            printed(&src, true),
+            base,
+            "{name}: PRINT diverged with the optimizers on"
+        );
 
         let rendered = base.join("\n") + "\n";
         if bless {

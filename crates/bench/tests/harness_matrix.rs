@@ -48,17 +48,11 @@ fn jobs8_matches_jobs1_bit_exactly() {
     // The second run reused every lowering from the first: cross-run
     // sharing through the process-wide cache.
     assert_eq!(parallel.cache_misses, 0);
-    assert_eq!(
-        parallel.cache_hits,
-        cells
-            .iter()
-            .filter(|c| c.backend == f90d_core::Backend::Vm)
-            .count() as u64
-    );
+    assert_eq!(parallel.cache_hits, cells.len() as u64);
 
     // Same for the schedule cache: the serial run built every distinct
     // (kind, grid, pattern) key, so the parallel rerun is all hits —
-    // cross-run inspector reuse, on both backends.
+    // cross-run inspector reuse.
     assert_eq!(parallel.sched_misses, 0, "second run must rebuild nothing");
     assert!(parallel.sched_hits > 0, "tiny matrix has irregular cells");
     assert_eq!(
@@ -194,8 +188,8 @@ fn synthetic() -> Json {
      "backend": "vm", "virt_s": 0.125, "messages": 10, "bytes": 640,
      "printed": [], "wall_s": 0.5, "cache_hit": false},
     {"workload": "jacobi", "n": 12, "grid": [2, 2], "machine": "ncube2",
-     "backend": "treewalk", "virt_s": 0.25, "messages": 8, "bytes": 128,
-     "printed": ["SUM = 3.0"], "wall_s": 0.25, "cache_hit": null}
+     "virt_s": 0.25, "messages": 8, "bytes": 128,
+     "printed": ["SUM = 3.0"], "wall_s": 0.25, "cache_hit": true}
   ]
 }"#,
     )

@@ -1,6 +1,6 @@
 //! Cross-run schedule cache (paper §7, optimization 3, scaled up).
 //!
-//! The per-`Executor`/`Engine` schedule reuse of the compilers amortizes
+//! The per-`Engine` schedule reuse of the compilers amortizes
 //! the inspector only *within* one execution; every fresh
 //! `Compiled::run_on`, every matrix cell and every long-running service
 //! request used to rebuild the same PARTI schedules from scratch. This
@@ -212,7 +212,7 @@ impl SchedCache {
     }
 }
 
-/// The process-wide schedule cache shared by every executor backend.
+/// The process-wide schedule cache shared by every engine run.
 pub fn global() -> &'static SchedCache {
     static CACHE: OnceLock<SchedCache> = OnceLock::new();
     CACHE.get_or_init(SchedCache::new)
@@ -222,7 +222,7 @@ pub fn global() -> &'static SchedCache {
 /// map (previously a signature-keyed `HashMap` in each executor — now
 /// keyed by the full pattern, so a signature collision can no longer
 /// alias two schedules) and consults the process-wide [`global`] cache
-/// for the cross-run build. One per `Executor`/`Engine` instance.
+/// for the cross-run build. One per `Engine` instance.
 pub struct RunSchedules {
     /// Within-run reuse map, `[read, write]` per pattern: the built
     /// schedule is side-agnostic, but each side's first occurrence must

@@ -1,15 +1,14 @@
-//! Dual-site guard: the FORALL communication lifecycle is sequenced in
-//! exactly one place — `f90d_comm::driver`. PR 8's bugfix battery showed
-//! what happens otherwise: the rank-1 multicast slab-temp bug had to be
-//! fixed twice, once per backend. This test fails the build if either
-//! backend grows a direct reference to the batching planner, the raw
-//! overlap move builder, or the raw transport post call, so the
-//! fix-it-twice bug class cannot quietly return.
+//! Guard: the FORALL communication lifecycle is sequenced in exactly one
+//! place — `f90d_comm::driver`. When two executors each sequenced their
+//! own, the rank-1 multicast slab-temp bug had to be fixed twice. This
+//! test fails the build if the execution engine grows a direct reference
+//! to the batching planner, the raw overlap move builder, or the raw
+//! transport post call, so orchestration cannot quietly fork again.
 
 use std::fs;
 use std::path::Path;
 
-/// Raw-orchestration identifiers the backends must not mention. Doc
+/// Raw-orchestration identifiers the engine must not mention. Doc
 /// comments count too: a comment pointing readers at the raw layer is
 /// the first step toward someone calling it.
 const FORBIDDEN: &[&str] = &["PhaseExchange", "overlap_shift_moves", "post_send"];
@@ -29,11 +28,6 @@ fn check(rel: &str) {
             );
         }
     }
-}
-
-#[test]
-fn executor_uses_driver_only() {
-    check("../core/src/exec.rs");
 }
 
 #[test]

@@ -901,12 +901,12 @@ impl<'a> Codegen<'a> {
             pre,
             gathers,
             owner_filter,
-            body: vec![ElemAssign {
+            body: ElemAssign {
                 arr: lhs_arr,
                 subs: lsubs,
                 write: write_plan,
                 rhs: rhs_expr,
-            }],
+            },
             plan: None,
         })
     }

@@ -11,7 +11,7 @@
 //! Structured tags are only emitted when both arrays are aligned to the
 //! same template with unit alignment stride on the paired dimension —
 //! non-unit alignments route through the (always-correct) unstructured
-//! path, as DESIGN.md documents.
+//! path.
 
 use std::collections::HashMap;
 

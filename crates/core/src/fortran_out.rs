@@ -310,16 +310,15 @@ impl Printer {
             self.line(&line);
             self.indent += 2;
         }
-        for b in &f.body {
-            let target = match b.write {
-                WritePlan::Owned => {
-                    format!("{}({})", prog.arrays[b.arr].name, exprs(&b.subs, prog))
-                }
-                WritePlan::ScatterSeq { .. } => "buf(count); count = count+1".to_string(),
-            };
-            let line = format!("{target} = {}", expr(&b.rhs, prog));
-            self.line(&line);
-        }
+        let b = &f.body;
+        let target = match b.write {
+            WritePlan::Owned => {
+                format!("{}({})", prog.arrays[b.arr].name, exprs(&b.subs, prog))
+            }
+            WritePlan::ScatterSeq { .. } => "buf(count); count = count+1".to_string(),
+        };
+        let line = format!("{target} = {}", expr(&b.rhs, prog));
+        self.line(&line);
         if f.mask.is_some() {
             self.indent -= 2;
             self.line("END IF");
@@ -328,18 +327,16 @@ impl Printer {
             self.indent -= 2;
             self.line("END DO");
         }
-        for b in &f.body {
-            if let WritePlan::ScatterSeq { invertible } = b.write {
-                let (sched, prim) = if invertible {
-                    ("schedule1", "postcomp_write")
-                } else {
-                    ("schedule3", "scatter")
-                };
-                let line = format!("isch = {sched}(proc_to, local_to, count)");
-                self.line(&line);
-                let line = format!("call {prim}(isch, {}, buf)", prog.arrays[b.arr].name);
-                self.line(&line);
-            }
+        if let WritePlan::ScatterSeq { invertible } = b.write {
+            let (sched, prim) = if invertible {
+                ("schedule1", "postcomp_write")
+            } else {
+                ("schedule3", "scatter")
+            };
+            let line = format!("isch = {sched}(proc_to, local_to, count)");
+            self.line(&line);
+            let line = format!("call {prim}(isch, {}, buf)", prog.arrays[b.arr].name);
+            self.line(&line);
         }
     }
 }

@@ -355,8 +355,8 @@ pub struct ForallNode {
     /// owning `index` on `dim` run the loop (`set_BOUND` masking of
     /// inactive processors, paper §4).
     pub owner_filter: Vec<(ArrId, usize, SExpr)>,
-    /// Body assignments.
-    pub body: Vec<ElemAssign>,
+    /// The body's elementwise assignment.
+    pub body: ElemAssign,
     /// Comm-phase membership assigned by the phase planner
     /// ([`crate::optimize`], gated by `OptFlags::comm_plan`). `None` for
     /// every FORALL unless the planner grouped this statement: then the
@@ -558,15 +558,13 @@ impl SProgram {
                             };
                             *census.entry(name).or_insert(0) += 1;
                         }
-                        for b in &f.body {
-                            if let WritePlan::ScatterSeq { invertible } = b.write {
-                                let name = if invertible {
-                                    "postcomp_write"
-                                } else {
-                                    "scatter"
-                                };
-                                *census.entry(name).or_insert(0) += 1;
-                            }
+                        if let WritePlan::ScatterSeq { invertible } = f.body.write {
+                            let name = if invertible {
+                                "postcomp_write"
+                            } else {
+                                "scatter"
+                            };
+                            *census.entry(name).or_insert(0) += 1;
                         }
                     }
                     SStmt::DoSeq { body, .. } => walk(body, census),

@@ -16,8 +16,9 @@
 //!                                     via fortran_out)
 //! ```
 //!
-//! Execution is loosely synchronous over a simulated MIMD machine
-//! ([`exec::Executor`] on a [`f90d_machine::Machine`]); correctness is
+//! Execution is loosely synchronous over a simulated MIMD machine: the
+//! node program is lowered to register bytecode ([`vmlower`]) and run by
+//! [`f90d_vm::Engine`] on a [`f90d_machine::Machine`]; correctness is
 //! checked against the sequential [`mod@reference`] interpreter.
 //!
 //! ## Quick example
@@ -50,7 +51,6 @@
 
 pub mod codegen;
 pub mod detect;
-pub mod exec;
 pub mod fortran_out;
 pub mod ir;
 pub mod optimize;
@@ -63,9 +63,9 @@ use std::sync::{Arc, OnceLock};
 use f90d_frontend::sema::AnalyzedProgram;
 use f90d_machine::Machine;
 use f90d_vm::cache::fnv1a;
-use f90d_vm::{ProgramCache, VmProgram};
+use f90d_vm::{Engine, ProgramCache, VmProgram};
 
-pub use exec::{ExecReport, Executor};
+pub use f90d_vm::{RunReport as ExecReport, VmError as ExecError};
 pub use options::{Backend, CompileOptions, OptFlags};
 
 /// A compiled program: the SPMD IR plus the analyzed source it came from.
@@ -87,9 +87,9 @@ pub struct Compiled {
 /// parallel repro harness records this per matrix cell.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunTrace {
-    /// Bytecode program-cache outcome: `Some(true)` hit, `Some(false)`
-    /// this run performed the lowering, `None` not consulted (tree walk).
-    pub program_cache_hit: Option<bool>,
+    /// Bytecode program-cache outcome: `true` hit, `false` this run
+    /// performed the lowering.
+    pub program_cache_hit: bool,
     /// Cross-run schedule-cache hits (first-per-run patterns found
     /// already built by an earlier run).
     pub sched_hits: u64,
@@ -100,16 +100,16 @@ pub struct RunTrace {
     /// budget was exhausted when the machine leased). Serve telemetry
     /// and `results.json` report this per request/cell.
     pub workers: usize,
-    /// FORALL executions dispatched to a native-tier kernel (VM backend
-    /// only; always 0 for the tree walker). Informational — the tiers
-    /// are bit-identical on every virtual metric.
+    /// FORALL executions dispatched to a native-tier kernel.
+    /// Informational — the tiers are bit-identical on every virtual
+    /// metric.
     pub native_matched: u64,
     /// FORALL executions that ran the bytecode element loop instead: no
     /// kernel was selected at lowering, a dispatch precondition failed,
     /// or the overlap split-phase path ran.
     pub native_fallback: u64,
     /// Comm phases the shared driver posted as one batched, coalesced
-    /// ghost exchange (`comm_plan` on; both backends). Informational —
+    /// ghost exchange (`comm_plan` on). Informational —
     /// the driver's fallback contract keeps results bit-identical.
     pub comm_groups: u64,
     /// Comm phases the driver refused (planning failed — e.g. mixed
@@ -118,77 +118,53 @@ pub struct RunTrace {
 }
 
 impl Compiled {
-    /// Execute on a machine (which must have the compiled grid shape)
-    /// with the backend selected in [`CompileOptions::backend`]. Arrays
-    /// start zero-initialized; use [`Executor`] (tree walk) or
-    /// [`f90d_vm::Engine`] over [`Compiled::vm_program`] directly to seed
-    /// inputs first.
-    pub fn run_on(&self, m: &mut Machine) -> Result<ExecReport, exec::ExecError> {
+    /// Execute on a machine (which must have the compiled grid shape).
+    /// Arrays start zero-initialized; use [`Compiled::engine`] directly
+    /// to seed inputs first.
+    pub fn run_on(&self, m: &mut Machine) -> Result<ExecReport, ExecError> {
         self.run_on_traced(m).map(|(rep, _)| rep)
     }
 
     /// [`Compiled::run_on`] that also reports the run's cache outcomes:
-    /// the bytecode program-cache lookup (VM backend only) and the
-    /// cross-run schedule-cache hit/miss counts (both backends).
-    pub fn run_on_traced(
-        &self,
-        m: &mut Machine,
-    ) -> Result<(ExecReport, RunTrace), exec::ExecError> {
-        match self.options.backend {
-            Backend::TreeWalk => {
-                let mut ex = Executor::new(&self.spmd, m);
-                ex.sched.reuse = self.options.opt.schedule_reuse;
-                ex.sched.use_global = self.options.sched_cache;
-                ex.overlap = self.options.opt.comm_compute_overlap;
-                ex.plan = self.options.opt.comm_plan;
-                ex.exec = self.options.exec_mode;
-                let rep = ex.run(m)?;
-                let (comm_groups, comm_fallbacks) = ex.comm.counts();
-                Ok((
-                    rep,
-                    RunTrace {
-                        program_cache_hit: None,
-                        sched_hits: ex.sched.hits(),
-                        sched_misses: ex.sched.misses(),
-                        workers: m.workers(),
-                        native_matched: 0,
-                        native_fallback: 0,
-                        comm_groups,
-                        comm_fallbacks,
-                    },
-                ))
-            }
-            Backend::Vm => {
-                let (prog, hit) = self.vm_program_traced().map_err(exec::ExecError)?;
-                let mut eng = f90d_vm::Engine::new(prog, m);
-                eng.sched.reuse = self.options.opt.schedule_reuse;
-                eng.sched.use_global = self.options.sched_cache;
-                eng.overlap = self.options.opt.comm_compute_overlap;
-                eng.plan = self.options.opt.comm_plan;
-                eng.exec = self.options.exec_mode;
-                let rep = eng.run(m).map_err(|e| exec::ExecError(e.0))?;
-                let (native_matched, native_fallback) = eng.native_counts();
-                let (comm_groups, comm_fallbacks) = eng.comm.counts();
-                Ok((
-                    ExecReport {
-                        elapsed: rep.elapsed,
-                        messages: rep.messages,
-                        bytes: rep.bytes,
-                        printed: rep.printed,
-                    },
-                    RunTrace {
-                        program_cache_hit: Some(hit),
-                        sched_hits: eng.sched.hits(),
-                        sched_misses: eng.sched.misses(),
-                        workers: m.workers(),
-                        native_matched,
-                        native_fallback,
-                        comm_groups,
-                        comm_fallbacks,
-                    },
-                ))
-            }
-        }
+    /// the bytecode program-cache lookup and the cross-run
+    /// schedule-cache hit/miss counts.
+    pub fn run_on_traced(&self, m: &mut Machine) -> Result<(ExecReport, RunTrace), ExecError> {
+        let (mut eng, hit) = self.engine_traced(m)?;
+        let rep = eng.run(m)?;
+        let (native_matched, native_fallback) = eng.native_counts();
+        let (comm_groups, comm_fallbacks) = eng.comm.counts();
+        Ok((
+            rep,
+            RunTrace {
+                program_cache_hit: hit,
+                sched_hits: eng.sched.hits(),
+                sched_misses: eng.sched.misses(),
+                workers: m.workers(),
+                native_matched,
+                native_fallback,
+                comm_groups,
+                comm_fallbacks,
+            },
+        ))
+    }
+
+    /// An [`Engine`] over [`Compiled::vm_program`] with every array
+    /// allocated on `m`, configured from [`Compiled::options`] exactly as
+    /// [`Compiled::run_on`] runs it. Seed inputs with
+    /// [`Engine::seed_array`], then [`Engine::run`].
+    pub fn engine(&self, m: &mut Machine) -> Result<Engine, ExecError> {
+        self.engine_traced(m).map(|(eng, _)| eng)
+    }
+
+    fn engine_traced(&self, m: &mut Machine) -> Result<(Engine, bool), ExecError> {
+        let (prog, hit) = self.vm_program_traced().map_err(ExecError)?;
+        let mut eng = Engine::new(prog, m);
+        eng.sched.reuse = self.options.opt.schedule_reuse;
+        eng.sched.use_global = self.options.sched_cache;
+        eng.overlap = self.options.opt.comm_compute_overlap;
+        eng.plan = self.options.opt.comm_plan;
+        eng.exec = self.options.exec_mode;
+        Ok((eng, hit))
     }
 
     /// The lowered bytecode program, via the global cache keyed by

@@ -154,7 +154,7 @@ fn member_writes(s: &SStmt) -> HashSet<ArrId> {
     let SStmt::Forall(f) = s else {
         return HashSet::new();
     };
-    f.body.iter().map(|b| b.arr).collect()
+    HashSet::from([f.body.arr])
 }
 
 fn profitable(specs: &[(ArrId, usize, i64)]) -> bool {
@@ -298,11 +298,9 @@ fn merge_forall(f: &mut ForallNode) {
         return;
     }
     // Rewrite reads of dropped temporaries.
-    for b in &mut f.body {
-        remap_expr(&mut b.rhs, &remap);
-        for s in &mut b.subs {
-            remap_expr(s, &remap);
-        }
+    remap_expr(&mut f.body.rhs, &remap);
+    for s in &mut f.body.subs {
+        remap_expr(s, &remap);
     }
     if let Some(mask) = &mut f.mask {
         remap_expr(mask, &remap);
@@ -501,9 +499,7 @@ fn written_arrays(stmts: &[SStmt]) -> HashSet<ArrId> {
         for s in stmts {
             match s {
                 SStmt::Forall(f) => {
-                    for b in &f.body {
-                        out.insert(b.arr);
-                    }
+                    out.insert(f.body.arr);
                 }
                 SStmt::OwnerAssign { arr, .. } => {
                     out.insert(*arr);

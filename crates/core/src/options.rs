@@ -35,8 +35,8 @@ pub struct OptFlags {
     /// group consecutive eligible stencil FORALLs into a *comm phase*
     /// whose ghost exchanges post together, with same-destination
     /// messages coalesced into a single wire transfer — one α charge
-    /// per destination pair instead of one per statement. Both backends
-    /// sequence phases through the shared [`f90d_comm::driver`], whose
+    /// per destination pair instead of one per statement. The engine
+    /// sequences phases through the shared [`f90d_comm::driver`], whose
     /// per-cell group/fallback counters surface in
     /// [`RunTrace`](crate::RunTrace). Array results
     /// and PRINT output are bit-identical to per-statement execution;
@@ -45,7 +45,7 @@ pub struct OptFlags {
     /// the per-statement virtual metrics. `repro --exp commplan` is the
     /// on/off ablation.
     pub comm_plan: bool,
-    /// Native kernel tier (VM backend only): at lowering time, compile
+    /// Native kernel tier: at lowering time, compile
     /// straight-line affine REAL FORALL bodies into prebuilt
     /// monomorphized closures (`f90d_vm::native`) that the engine
     /// dispatches to instead of the bytecode element loop. Every virtual
@@ -87,14 +87,19 @@ impl OptFlags {
     }
 }
 
-/// Which execution engine [`crate::Compiled::run_on`] dispatches to.
+/// The execution engine [`crate::Compiled::run_on`] runs on. There is
+/// one: the program is lowered once to register bytecode (cached by
+/// source/options/grid) and run on [`f90d_vm::Engine`], with the native
+/// kernel tier selected by [`OptFlags::native_kernels`].
+///
+/// The type carries no choice. It remains only because the repository
+/// benchmark (`perfbench/`) names `Backend::Vm`,
+/// [`CompileOptions::with_backend`] and the serve protocol's
+/// `RunRequest.backend`; it goes when the benchmark stops naming them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Walk the SPMD statement tree directly ([`crate::exec::Executor`]).
+    /// Bytecode VM plus native kernel tier.
     #[default]
-    TreeWalk,
-    /// Lower once to register bytecode (cached by source/options/grid)
-    /// and run it on [`f90d_vm::Engine`].
     Vm,
 }
 
@@ -106,7 +111,7 @@ pub struct CompileOptions {
     pub grid_shape: Option<Vec<i64>>,
     /// Optimization flags.
     pub opt: OptFlags,
-    /// Execution backend.
+    /// Execution backend (always [`Backend::Vm`]).
     pub backend: Backend,
     /// Consult the process-wide cross-run schedule cache
     /// (`f90d_comm::sched_cache`) when executing. Off is the `repro
@@ -149,7 +154,8 @@ impl CompileOptions {
         }
     }
 
-    /// Same options with a different backend.
+    /// Same options with the given backend (there is only
+    /// [`Backend::Vm`]).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self

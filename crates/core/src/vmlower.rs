@@ -9,9 +9,8 @@
 //! affine subscripts `a*i + b` into single [`Op::Affine`] instructions.
 //! Statement control flow flattens to a jump-linked instruction stream;
 //! FORALLs, collectives and runtime calls become table-driven
-//! super-instructions carrying the same modelled costs the tree walker
-//! charges (`op_count` / `op_count_cse`), so both backends produce
-//! identical virtual times as well as identical array contents.
+//! super-instructions carrying the modelled costs the IR defines
+//! (`op_count` / `op_count_cse`).
 
 use std::collections::HashMap;
 
@@ -178,7 +177,7 @@ impl<'p> Lowerer<'p> {
 
     /// Slot of scalar `name`, creating one for dynamically assigned
     /// targets (reduction/broadcast destinations are always declared, but
-    /// mirror the tree walker's by-name insertion just in case).
+    /// insert by name just in case).
     fn scalar_slot(&mut self, name: &str) -> u16 {
         if let Some(&s) = self.scalar_ids.get(name) {
             return s;
@@ -351,9 +350,10 @@ impl<'p> Lowerer<'p> {
                             fixed_dim: *fixed_dim,
                         },
                         // The surviving-subscript contract lives in the
-                        // shared comm driver, same as the tree walker's
-                        // read path: `None` means a rank-1 source whose
-                        // dummy extent-1 dimension is indexed at zero.
+                        // shared comm driver: `None` means a rank-1 source
+                        // whose dummy extent-1 dimension is indexed at
+                        // zero. The engine indexes the slab with exactly
+                        // these subscripts.
                         match f90d_comm::driver::slab_kept_dims(subs.len(), *fixed_dim) {
                             Some(kept) => kept.into_iter().map(|d| &subs[d]).collect(),
                             None => vec![&zero_sub],
@@ -728,41 +728,30 @@ impl<'p> Lowerer<'p> {
             .collect();
         let mask = f.mask.as_ref().map(|e| self.compile(e)).transpose()?;
         let mask_cost = f.mask.as_ref().map_or(0, |e| e.op_count_cse(&var_names));
-        let mut body = Vec::with_capacity(f.body.len());
-        for b in &f.body {
-            let scatter = match b.write {
-                WritePlan::Owned => None,
-                WritePlan::ScatterSeq { invertible } => Some(invertible),
-            };
-            if scatter.is_none() && b.arr != f.body[0].arr {
-                // The tree walker commits all staged owned writes into the
-                // first body array; reject programs where that would
-                // scatter data across arrays rather than silently diverge.
-                return Err(format!(
-                    "FORALL body writes both `{}` and `{}`: mixed-array owned bodies are unsupported",
-                    self.prog.arrays[f.body[0].arr].name, self.prog.arrays[b.arr].name
-                ));
-            }
-            let rhs = self.compile(&b.rhs)?;
-            let subs = b
-                .subs
-                .iter()
-                .map(|e| self.compile(e))
-                .collect::<LResult<_>>()?;
-            let lhs_acc = if scatter.is_none() {
-                Some(self.acc_id(AccPlan::Owned { arr: b.arr }))
-            } else {
-                None
-            };
-            body.push(VmAssign {
-                arr: b.arr,
-                subs,
-                rhs,
-                lhs_acc,
-                scatter,
-                cost: b.rhs.op_count_cse(&var_names) + 2,
-            });
-        }
+        let b = &f.body;
+        let scatter = match b.write {
+            WritePlan::Owned => None,
+            WritePlan::ScatterSeq { invertible } => Some(invertible),
+        };
+        let rhs = self.compile(&b.rhs)?;
+        let subs = b
+            .subs
+            .iter()
+            .map(|e| self.compile(e))
+            .collect::<LResult<_>>()?;
+        let lhs_acc = if scatter.is_none() {
+            Some(self.acc_id(AccPlan::Owned { arr: b.arr }))
+        } else {
+            None
+        };
+        let body = VmAssign {
+            arr: b.arr,
+            subs,
+            rhs,
+            lhs_acc,
+            scatter,
+            cost: b.rhs.op_count_cse(&var_names) + 2,
+        };
         let gathers = f
             .gathers
             .iter()
@@ -795,15 +784,13 @@ impl<'p> Lowerer<'p> {
             if let Some(mc) = &mask {
                 add_code(mc, &mut accs_used);
             }
-            for b in &body {
-                add_code(&b.rhs, &mut accs_used);
-                for s in &b.subs {
-                    add_code(s, &mut accs_used);
-                }
-                if let Some(a) = b.lhs_acc {
-                    if !accs_used.contains(&a) {
-                        accs_used.push(a);
-                    }
+            add_code(&body.rhs, &mut accs_used);
+            for s in &body.subs {
+                add_code(s, &mut accs_used);
+            }
+            if let Some(a) = body.lhs_acc {
+                if !accs_used.contains(&a) {
+                    accs_used.push(a);
                 }
             }
             for g in &gathers {

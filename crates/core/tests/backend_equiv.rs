@@ -1,10 +1,14 @@
-//! The bytecode backend must be indistinguishable from the tree walker:
-//! identical array contents, identical PRINT output, and identical
-//! virtual time / message counts on every workload shape the paper's
-//! evaluation uses (Jacobi, Gaussian elimination, FFT butterfly,
-//! irregular), in both local-phase execution modes.
+//! The execution tiers must be indistinguishable: on every workload
+//! shape the paper's evaluation uses (Jacobi, Gaussian elimination, FFT
+//! butterfly, irregular), in both local-phase execution modes, the
+//! native tier matches the sequential reference interpreter on array
+//! contents and PRINT output, and the bytecode tier on virtual time and
+//! message/byte counts.
 
-use f90d_core::{compile, vm_cache, Backend, CompileOptions, Executor};
+use std::collections::HashMap;
+
+use f90d_core::reference::run_reference;
+use f90d_core::{compile, vm_cache, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec};
 
@@ -94,39 +98,28 @@ END
     )
 }
 
-/// Run `src` under one backend; return per-array host images plus the
-/// execution report data.
-fn run_backend(
+/// Run `src` on one execution tier; return per-array host images plus
+/// the execution report data.
+fn run_tier(
     src: &str,
     grid: &[i64],
     arrays: &[&str],
-    backend: Backend,
+    native: bool,
     mode: ExecMode,
 ) -> (Vec<ArrayData>, f64, u64, u64, Vec<String>) {
     // Threaded runs must get a real pool even on single-core CI hosts,
     // where the default worker budget would degrade them to sequential.
     f90d_machine::budget::global().ensure_total_at_least(8);
-    let opts = CompileOptions::on_grid(grid).with_backend(backend);
+    let mut opts = CompileOptions::on_grid(grid);
+    opts.opt.native_kernels = native;
     let compiled = compile(src, &opts).expect("compiles");
     let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), mode);
-    let report = compiled.run_on(&mut m).expect("runs");
-    let imgs = match backend {
-        Backend::TreeWalk => {
-            let ex = Executor::new_preserving(&compiled.spmd, &mut m);
-            arrays
-                .iter()
-                .map(|a| ex.gather_array(&mut m, a).expect("array exists"))
-                .collect()
-        }
-        Backend::Vm => {
-            let prog = compiled.vm_program().expect("lowers");
-            let eng = f90d_vm::Engine::new_preserving(prog, &mut m);
-            arrays
-                .iter()
-                .map(|a| eng.gather_array(&mut m, a).expect("array exists"))
-                .collect()
-        }
-    };
+    let mut eng = compiled.engine(&mut m).expect("lowers");
+    let report = eng.run(&mut m).expect("runs");
+    let imgs = arrays
+        .iter()
+        .map(|a| eng.gather_array(&mut m, a).expect("array exists"))
+        .collect();
     (
         imgs,
         report.elapsed,
@@ -136,51 +129,70 @@ fn run_backend(
     )
 }
 
-fn assert_backends_agree(name: &str, src: &str, grid: &[i64], arrays: &[&str]) {
+/// The native tier, in both local-phase modes, against two oracles:
+/// the sequential reference interpreter for arrays and PRINT output, and
+/// the sequential bytecode tier (native kernels off) for virtual time,
+/// messages and bytes.
+fn assert_tiers_agree(name: &str, src: &str, grid: &[i64], arrays: &[&str]) {
+    let analyzed = compile(src, &CompileOptions::on_grid(grid))
+        .expect("compiles")
+        .analyzed;
+    let reference = run_reference(&analyzed, &HashMap::new()).expect("reference runs");
+    let (bc, bc_t, bc_msg, bc_bytes, bc_out) =
+        run_tier(src, grid, arrays, false, ExecMode::Sequential);
     for mode in [ExecMode::Sequential, ExecMode::Threaded] {
-        let (tw, tw_t, tw_msg, tw_bytes, tw_out) =
-            run_backend(src, grid, arrays, Backend::TreeWalk, ExecMode::Sequential);
-        let (vm, vm_t, vm_msg, vm_bytes, vm_out) =
-            run_backend(src, grid, arrays, Backend::Vm, mode);
-        for (k, (a, b)) in tw.iter().zip(&vm).enumerate() {
+        let (nat, nat_t, nat_msg, nat_bytes, nat_out) = run_tier(src, grid, arrays, true, mode);
+        for (k, (a, b)) in nat.iter().zip(&bc).enumerate() {
             assert_eq!(
                 a, b,
-                "{name} ({mode:?}): array {} differs between backends",
+                "{name} ({mode:?}): array {} differs between tiers",
+                arrays[k]
+            );
+            assert_eq!(
+                a, &reference.arrays[arrays[k]].data,
+                "{name} ({mode:?}): array {} differs from the reference",
                 arrays[k]
             );
         }
-        assert_eq!(tw_t, vm_t, "{name} ({mode:?}): virtual time differs");
-        assert_eq!(tw_msg, vm_msg, "{name} ({mode:?}): message count differs");
-        assert_eq!(tw_bytes, vm_bytes, "{name} ({mode:?}): byte count differs");
-        assert_eq!(tw_out, vm_out, "{name} ({mode:?}): PRINT output differs");
+        assert_eq!(bc_t, nat_t, "{name} ({mode:?}): virtual time differs");
+        assert_eq!(bc_msg, nat_msg, "{name} ({mode:?}): message count differs");
+        assert_eq!(bc_bytes, nat_bytes, "{name} ({mode:?}): byte count differs");
+        assert_eq!(
+            bc_out, nat_out,
+            "{name} ({mode:?}): PRINT differs between tiers"
+        );
+        assert_eq!(
+            nat_out, reference.printed,
+            "{name} ({mode:?}): PRINT differs from the reference"
+        );
     }
 }
 
 #[test]
 fn jacobi_matches_on_four_nodes() {
-    assert_backends_agree("jacobi", &jacobi(16, 3), &[2, 2], &["A", "B"]);
+    assert_tiers_agree("jacobi", &jacobi(16, 3), &[2, 2], &["A", "B"]);
 }
 
 #[test]
 fn jacobi_matches_on_one_node() {
-    assert_backends_agree("jacobi-1", &jacobi(12, 2), &[1, 1], &["A", "B"]);
+    assert_tiers_agree("jacobi-1", &jacobi(12, 2), &[1, 1], &["A", "B"]);
 }
 
 #[test]
 fn gaussian_matches_across_grids() {
     for p in [1i64, 2, 4] {
-        assert_backends_agree("gaussian", &gaussian(16), &[p], &["A"]);
+        assert_tiers_agree("gaussian", &gaussian(16), &[p], &["A"]);
     }
 }
 
 #[test]
 fn fft_butterfly_matches() {
-    assert_backends_agree("fft", &fft_butterfly(8, 2), &[4], &["X", "TERM2"]);
+    assert_tiers_agree("fft", &fft_butterfly(8, 2), &[4], &["X", "TERM2"]);
 }
 
 #[test]
 fn irregular_matches() {
-    assert_backends_agree(
+    assert_tiers_agree(
         "irregular",
         &irregular(16),
         &[4],
@@ -202,14 +214,13 @@ S = SUM(A)
 PRINT *, 'sum:', S
 END
 ";
-    assert_backends_agree("sums", src, &[4], &["A"]);
+    assert_tiers_agree("sums", src, &[4], &["A"]);
 }
 
 #[test]
 fn vm_program_is_cached_across_runs() {
     let src = jacobi(8, 1);
-    let opts = CompileOptions::on_grid(&[2, 2]).with_backend(Backend::Vm);
-    let compiled = compile(&src, &opts).unwrap();
+    let compiled = compile(&src, &CompileOptions::on_grid(&[2, 2])).unwrap();
     let p1 = compiled.vm_program().unwrap();
     let misses = vm_cache().misses();
     let p2 = compiled.vm_program().unwrap();
@@ -223,11 +234,7 @@ fn vm_program_is_cached_across_runs() {
         "second lookup must not re-lower"
     );
     // A different grid is a different program.
-    let other = compile(
-        &src,
-        &CompileOptions::on_grid(&[1, 1]).with_backend(Backend::Vm),
-    )
-    .unwrap();
+    let other = compile(&src, &CompileOptions::on_grid(&[1, 1])).unwrap();
     let p3 = other.vm_program().unwrap();
     assert!(!std::sync::Arc::ptr_eq(&p1, &p3));
 }

@@ -1,11 +1,14 @@
 //! Phase-level communication planning (`OptFlags::comm_plan`): phase
 //! formation on the IR, conflict/separator fallback, bit-exact execution
-//! with the plan honoured on both backends — plus the hoist def-use
+//! with the plan honoured on both execution tiers — plus the hoist def-use
 //! regression battery (WHERE-masked writes, REDISTRIBUTE, and written
 //! scalars must all pin their exchanges inside the loop).
 
+use std::collections::HashMap;
+
 use f90d_core::ir::{PhaseRole, SStmt};
-use f90d_core::{compile, Backend, CompileOptions, Executor};
+use f90d_core::reference::run_reference;
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, Machine, MachineSpec};
 
@@ -247,76 +250,75 @@ END
 
 type Outcome = (f64, u64, u64, Vec<String>, Vec<ArrayData>);
 
-fn run(src: &str, grid: &[i64], backend: Backend, plan: bool, arrays: &[&str]) -> Outcome {
-    let mut opts = CompileOptions::on_grid(grid).with_backend(backend);
+/// Run on one execution tier (`native`: kernels on; off is the bytecode
+/// element loop).
+fn run(src: &str, grid: &[i64], native: bool, plan: bool, arrays: &[&str]) -> Outcome {
+    let mut opts = CompileOptions::on_grid(grid);
+    opts.opt.native_kernels = native;
     opts.opt.comm_plan = plan;
     let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("{e}\n{src}"));
     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
-    match backend {
-        Backend::TreeWalk => {
-            let mut ex = Executor::new(&compiled.spmd, &mut m);
-            ex.plan = plan;
-            let rep = ex.run(&mut m).unwrap_or_else(|e| panic!("{e}\n{src}"));
-            let data = arrays
-                .iter()
-                .map(|a| ex.gather_array(&mut m, a).unwrap())
-                .collect();
-            (rep.elapsed, rep.messages, rep.bytes, rep.printed, data)
-        }
-        Backend::Vm => {
-            let prog = compiled.vm_program().unwrap();
-            let mut eng = f90d_vm::Engine::new(prog, &mut m);
-            eng.plan = plan;
-            let rep = eng.run(&mut m).unwrap_or_else(|e| panic!("{e}\n{src}"));
-            let data = arrays
-                .iter()
-                .map(|a| eng.gather_array(&mut m, a).unwrap())
-                .collect();
-            (rep.elapsed, rep.messages, rep.bytes, rep.printed, data)
-        }
-    }
+    let mut eng = compiled.engine(&mut m).unwrap();
+    let rep = eng.run(&mut m).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    let data = arrays
+        .iter()
+        .map(|a| eng.gather_array(&mut m, a).unwrap())
+        .collect();
+    (rep.elapsed, rep.messages, rep.bytes, rep.printed, data)
 }
 
 #[test]
 fn plan_execution_bit_identical_and_coalesces() {
     let src = triple_stencil(32, 3);
     let arrays = ["A", "B", "C", "A2", "B2", "C2"];
-    for backend in [Backend::TreeWalk, Backend::Vm] {
-        let (t_off, msg_off, by_off, pr_off, arr_off) = run(&src, &[4], backend, false, &arrays);
-        let (t_on, msg_on, by_on, pr_on, arr_on) = run(&src, &[4], backend, true, &arrays);
+    for native in [true, false] {
+        let (t_off, msg_off, by_off, pr_off, arr_off) = run(&src, &[4], native, false, &arrays);
+        let (t_on, msg_on, by_on, pr_on, arr_on) = run(&src, &[4], native, true, &arrays);
         assert_eq!(
             arr_on, arr_off,
-            "arrays must be bit-identical ({backend:?})"
+            "arrays must be bit-identical (native {native})"
         );
-        assert_eq!(pr_on, pr_off, "PRINT must be identical ({backend:?})");
+        assert_eq!(pr_on, pr_off, "PRINT must be identical (native {native})");
         assert_eq!(by_on, by_off, "coalescing repacks, never re-sends bytes");
         assert!(
             msg_on < msg_off,
-            "phase must coalesce wire messages ({backend:?}): {msg_on} vs {msg_off}"
+            "phase must coalesce wire messages (native {native}): {msg_on} vs {msg_off}"
         );
         assert!(
             t_on < t_off,
-            "saved message startups must show in virtual time ({backend:?}): {t_on} vs {t_off}"
+            "saved message startups must show in virtual time (native {native}): {t_on} vs {t_off}"
         );
     }
 }
 
 #[test]
-fn plan_execution_identical_across_backends() {
+fn plan_execution_identical_across_tiers() {
+    // Virtual metrics: the bytecode tier is the oracle for the native
+    // tier. Arrays: the sequential reference interpreter.
     let src = triple_stencil(32, 3);
     let arrays = ["A", "B", "C", "A2", "B2", "C2"];
-    let tw = run(&src, &[4], Backend::TreeWalk, true, &arrays);
-    let vm = run(&src, &[4], Backend::Vm, true, &arrays);
-    assert_eq!(tw.0.to_bits(), vm.0.to_bits(), "virtual time must agree");
-    assert_eq!((tw.1, tw.2), (vm.1, vm.2), "messages/bytes must agree");
-    assert_eq!(tw.3, vm.3, "PRINT must agree");
-    assert_eq!(tw.4, vm.4, "arrays must agree");
+    let bc = run(&src, &[4], false, true, &arrays);
+    let nat = run(&src, &[4], true, true, &arrays);
+    assert_eq!(bc.0.to_bits(), nat.0.to_bits(), "virtual time must agree");
+    assert_eq!((bc.1, bc.2), (nat.1, nat.2), "messages/bytes must agree");
+    assert_eq!(bc.3, nat.3, "PRINT must agree");
+    assert_eq!(bc.4, nat.4, "arrays must agree");
+    let analyzed = compile(&src, &CompileOptions::on_grid(&[4]))
+        .unwrap()
+        .analyzed;
+    let reference = run_reference(&analyzed, &HashMap::new()).unwrap();
+    for (name, got) in arrays.iter().zip(&nat.4) {
+        assert_eq!(
+            got, &reference.arrays[*name].data,
+            "array {name} vs reference"
+        );
+    }
 }
 
 // ---- hoist def-use regressions ----------------------------------------------
 
 /// `top_level_comm == expected` plus hoist-on vs hoist-off result
-/// equality on the tree walker.
+/// equality.
 fn check_hoist(src: &str, grid: &[i64], arrays: &[&str], expected_hoisted: usize) {
     let mut on = CompileOptions::on_grid(grid);
     on.opt.hoist_invariant_comm = true;
@@ -328,16 +330,16 @@ fn check_hoist(src: &str, grid: &[i64], arrays: &[&str], expected_hoisted: usize
         .filter(|s| matches!(s, SStmt::Comm(_)))
         .count();
     assert_eq!(hoisted, expected_hoisted, "wrong hoist count\n{src}");
-    let on_res = run(src, grid, Backend::TreeWalk, false, arrays);
+    let on_res = run(src, grid, true, false, arrays);
     let mut off = CompileOptions::on_grid(grid);
     off.opt.hoist_invariant_comm = false;
     let c_off = compile(src, &off).unwrap();
     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
-    let mut ex = Executor::new(&c_off.spmd, &mut m);
-    ex.run(&mut m).unwrap();
+    let mut eng = c_off.engine(&mut m).unwrap();
+    eng.run(&mut m).unwrap();
     let off_arrays: Vec<ArrayData> = arrays
         .iter()
-        .map(|a| ex.gather_array(&mut m, a).unwrap())
+        .map(|a| eng.gather_array(&mut m, a).unwrap())
         .collect();
     assert_eq!(on_res.4, off_arrays, "hoist changed results\n{src}");
 }

@@ -1,11 +1,14 @@
-//! Contract of the native kernel tier (the third execution tier above
-//! the bytecode VM): selection at lowering time is invisible in every
+//! Contract of the native kernel tier (the execution tier above the
+//! bytecode VM): selection at lowering time is invisible in every
 //! observable — array bits, virtual time, messages, bytes, PRINT — and
 //! the engine's `native_counts` trace proves which tier actually ran.
 //! Non-matching shapes (masks, unstructured subscripts) and non-binding
 //! dispatches (CYCLIC mappings) must fall back to bytecode, counted.
 
-use f90d_core::{compile, Backend, CompileOptions, RunTrace};
+use std::collections::HashMap;
+
+use f90d_core::reference::run_reference;
+use f90d_core::{compile, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, Machine, MachineSpec};
 
@@ -40,7 +43,7 @@ fn run_vm(
     arrays: &[&str],
     native: bool,
 ) -> (Vec<ArrayData>, f64, u64, u64, Vec<String>, RunTrace) {
-    let mut opts = CompileOptions::on_grid(grid).with_backend(Backend::Vm);
+    let mut opts = CompileOptions::on_grid(grid);
     opts.opt.native_kernels = native;
     let compiled = compile(src, &opts).expect("compiles");
     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
@@ -61,29 +64,26 @@ fn run_vm(
     )
 }
 
-fn run_treewalk(src: &str, grid: &[i64], arrays: &[&str]) -> (Vec<ArrayData>, f64, u64, u64) {
-    let opts = CompileOptions::on_grid(grid).with_backend(Backend::TreeWalk);
-    let compiled = compile(src, &opts).expect("compiles");
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
-    let rep = compiled.run_on(&mut m).expect("runs");
-    let ex = f90d_core::Executor::new_preserving(&compiled.spmd, &mut m);
-    let imgs = arrays
+/// Final images of `arrays` under the sequential reference interpreter.
+fn reference_images(src: &str, grid: &[i64], arrays: &[&str]) -> Vec<ArrayData> {
+    let compiled = compile(src, &CompileOptions::on_grid(grid)).expect("compiles");
+    let reference = run_reference(&compiled.analyzed, &HashMap::new()).expect("reference runs");
+    arrays
         .iter()
-        .map(|a| ex.gather_array(&mut m, a).expect("array exists"))
-        .collect();
-    (imgs, rep.elapsed, rep.messages, rep.bytes)
+        .map(|a| reference.arrays[*a].data.clone())
+        .collect()
 }
 
 /// Jacobi's four FORALL shapes (index-cast fill, constant fill, scaled
 /// 4-point stencil, copy) all dispatch native on a BLOCK×BLOCK grid, and
-/// the three tiers agree bit-for-bit on every observable.
+/// both tiers agree bit-for-bit on every observable (and with the
+/// sequential reference on every array bit).
 #[test]
 fn jacobi_dispatches_native_and_tiers_agree() {
     let src = jacobi(16, 3);
     let arrays = ["A", "B"];
     let (nat, nat_t, nat_msg, nat_b, nat_out, nat_tr) = run_vm(&src, &[2, 2], &arrays, true);
     let (vm, vm_t, vm_msg, vm_b, vm_out, vm_tr) = run_vm(&src, &[2, 2], &arrays, false);
-    let (tw, tw_t, tw_msg, tw_b) = run_treewalk(&src, &[2, 2], &arrays);
 
     // 2 init FORALLs + 2 per sweep × 3 sweeps, every one on the native
     // tier; with the tier disabled, every one is a bytecode fallback.
@@ -95,17 +95,20 @@ fn jacobi_dispatches_native_and_tiers_agree() {
     assert_eq!((vm_tr.native_matched, vm_tr.native_fallback), (0, 8));
 
     assert_eq!(nat, vm, "native vs bytecode array images");
-    assert_eq!(nat, tw, "native vs tree-walk array images");
+    assert_eq!(
+        nat,
+        reference_images(&src, &[2, 2], &arrays),
+        "native vs reference array images"
+    );
     assert_eq!((nat_t, nat_msg, nat_b), (vm_t, vm_msg, vm_b));
-    assert_eq!((nat_t, nat_msg, nat_b), (tw_t, tw_msg, tw_b));
     assert_eq!(nat_out, vm_out);
 }
 
 /// The reduction-accumulate FORALLs feeding a SUM-into-scalar reduction
 /// (`S = S + A` and `S = S + W*B`) dispatch on the fused
 /// `reduce_accumulate` template instead of composed generic closures,
-/// and the three tiers agree on every observable including the reduced
-/// PRINT value.
+/// and both tiers agree on every observable including the reduced PRINT
+/// value.
 #[test]
 fn sum_accumulate_dispatches_native() {
     let src = "
@@ -141,11 +144,13 @@ END
     );
     let (vm, vm_t, vm_msg, vm_b, vm_out, vm_tr) = run_vm(src, &[4], &arrays, false);
     assert_eq!((vm_tr.native_matched, vm_tr.native_fallback), (0, 9));
-    let (tw, tw_t, tw_msg, tw_b) = run_treewalk(src, &[4], &arrays);
     assert_eq!(nat, vm, "native vs bytecode array images");
-    assert_eq!(nat, tw, "native vs tree-walk array images");
+    assert_eq!(
+        nat,
+        reference_images(src, &[4], &arrays),
+        "native vs reference array images"
+    );
     assert_eq!((nat_t, nat_msg, nat_b), (vm_t, vm_msg, vm_b));
-    assert_eq!((nat_t, nat_msg, nat_b), (tw_t, tw_msg, tw_b));
     assert_eq!(nat_out, vm_out);
     assert!(nat_out.iter().any(|l| l.contains("ACC")), "PRINT ran");
 }
@@ -220,9 +225,10 @@ END
     let (nat, nat_t, nat_msg, nat_b, _, tr) = run_vm(src, &[4], &["A", "B"], true);
     assert_eq!(tr.native_matched, 0, "CYCLIC must never dispatch native");
     assert_eq!(tr.native_fallback, 2);
-    let (tw, tw_t, tw_msg, tw_b) = run_treewalk(src, &[4], &["A", "B"]);
-    assert_eq!(nat, tw);
-    assert_eq!((nat_t, nat_msg, nat_b), (tw_t, tw_msg, tw_b));
+    let (vm, vm_t, vm_msg, vm_b, ..) = run_vm(src, &[4], &["A", "B"], false);
+    assert_eq!(nat, vm);
+    assert_eq!(nat, reference_images(src, &[4], &["A", "B"]));
+    assert_eq!((nat_t, nat_msg, nat_b), (vm_t, vm_msg, vm_b));
 }
 
 /// The overlap split-phase path always runs bytecode (boundary/interior
@@ -231,7 +237,7 @@ END
 #[test]
 fn overlap_split_phase_counts_as_fallback() {
     let src = jacobi(16, 2);
-    let mut opts = CompileOptions::on_grid(&[2, 2]).with_backend(Backend::Vm);
+    let mut opts = CompileOptions::on_grid(&[2, 2]);
     opts.opt.comm_compute_overlap = true;
     let compiled = compile(&src, &opts).expect("compiles");
     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));

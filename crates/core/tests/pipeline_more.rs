@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use f90d_core::reference::run_reference;
-use f90d_core::{compile, CompileOptions, Executor};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, Machine, MachineSpec};
 
@@ -14,7 +14,7 @@ fn differential(src: &str, grid: &[i64], inits: &HashMap<String, ArrayData>) -> 
     let compiled = compile(src, &o).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
     let reference = run_reference(&compiled.analyzed, inits).expect("reference run");
     let mut m = Machine::new(MachineSpec::ideal(), ProcGrid::new(grid));
-    let mut ex = Executor::new(&compiled.spmd, &mut m);
+    let mut ex = compiled.engine(&mut m).unwrap();
     for (name, data) in inits {
         assert!(ex.seed_array(&mut m, name, data), "unknown array {name}");
     }
@@ -236,7 +236,7 @@ END
     // Gray-code embedding: grid neighbours are hypercube neighbours.
     let grid = ProcGrid::with_embedding(&[4], GridEmbedding::GrayCode);
     let mut m = Machine::new(MachineSpec::ipsc860(), grid);
-    let mut ex = Executor::new(&compiled.spmd, &mut m);
+    let mut ex = compiled.engine(&mut m).unwrap();
     ex.run(&mut m).unwrap();
     let got = ex.gather_array(&mut m, "A").unwrap();
     let want = &reference.arrays["A"];

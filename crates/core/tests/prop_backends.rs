@@ -1,19 +1,19 @@
-//! Differential property test for the execution backends: random FORALL
+//! Differential property test for the execution tiers: random FORALL
 //! programs (1-D and 2-D, random distributions, shifts, masks) must
-//! produce **bit-identical** arrays under `Backend::TreeWalk`,
-//! `Backend::Vm` — with the native kernel tier both on (the default;
-//! unmasked BLOCK samples dispatch to the monomorphized closures) and
-//! explicitly off — and the sequential reference interpreter, across
-//! grids `[1]`, `[2]`, and `[2,2]` — under a **sampled local-phase
-//! execution mode**: `ExecMode::Threaded` (persistent worker pool,
-//! cross-run schedule cache on as everywhere) must be indistinguishable
-//! from `ExecMode::Sequential` in arrays, virtual time, and elapsed
-//! parity between backends.
+//! produce **bit-identical** arrays with the native kernel tier on (the
+//! default; unmasked BLOCK samples dispatch to the monomorphized
+//! closures) and off (the bytecode element loop), and under the
+//! sequential reference interpreter, across grids `[1]`, `[2]`, and
+//! `[2,2]` — under a **sampled local-phase execution mode**:
+//! `ExecMode::Threaded` (persistent worker pool, cross-run schedule
+//! cache on as everywhere) must be indistinguishable from
+//! `ExecMode::Sequential` in arrays and virtual time, and virtual time
+//! must not depend on the tier.
 
 use std::collections::HashMap;
 
 use f90d_core::reference::run_reference;
-use f90d_core::{compile, Backend, CompileOptions, Executor};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
 use proptest::prelude::*;
@@ -151,7 +151,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn backends_and_reference_bit_identical(p in rand_program()) {
+    fn tiers_and_reference_bit_identical(p in rand_program()) {
         // Single-core hosts would otherwise degrade every threaded
         // sample to sequential; raise the budget so the pool is real.
         budget::global().ensure_total_at_least(8);
@@ -159,94 +159,72 @@ proptest! {
         let inits = host_inits(&p);
         let names = ["A", "B", "C"];
 
+        // Seed, run and gather one configuration on a fresh machine.
+        let run = |native: bool, exec: ExecMode| -> Result<(Vec<ArrayData>, f64, u64), TestCaseError> {
+            let mut opts = CompileOptions::on_grid(&p.grid);
+            opts.opt.native_kernels = native;
+            let compiled = compile(&src, &opts)
+                .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+            if !native {
+                let prog = compiled.vm_program()
+                    .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
+                prop_assert!(prog.natives.is_empty(), "native off must select no kernels\n{}", src);
+            }
+            let mut m = Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&p.grid), exec);
+            let mut eng = compiled.engine(&mut m)
+                .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
+            for (name, data) in &inits {
+                prop_assert!(eng.seed_array(&mut m, name, data));
+            }
+            eng.run(&mut m).unwrap_or_else(|e| panic!("run failed: {e}\n{src}"));
+            let arrays = names.iter().map(|a| eng.gather_array(&mut m, a).unwrap()).collect();
+            Ok((arrays, m.elapsed(), eng.native_counts().0))
+        };
+
         // Sequential reference interpreter.
-        let opts = CompileOptions::on_grid(&p.grid);
-        let compiled = compile(&src, &opts)
+        let compiled = compile(&src, &CompileOptions::on_grid(&p.grid))
             .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
         let reference = run_reference(&compiled.analyzed, &inits).unwrap();
 
-        // Tree walker, under the sampled execution mode.
-        let mut m = Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&p.grid), p.exec);
-        let mut ex = Executor::new(&compiled.spmd, &mut m);
-        for (name, data) in &inits {
-            prop_assert!(ex.seed_array(&mut m, name, data));
-        }
-        ex.run(&mut m).unwrap_or_else(|e| panic!("tree walk failed: {e}\n{src}"));
-        let tw: Vec<ArrayData> = names
-            .iter()
-            .map(|a| ex.gather_array(&mut m, a).unwrap())
-            .collect();
-
-        // Bytecode engine, native kernel tier on (the default).
-        let compiled_vm = compile(&src, &opts.clone().with_backend(Backend::Vm)).unwrap();
-        let prog = compiled_vm.vm_program().unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
-        let mut m2 = Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&p.grid), p.exec);
-        let mut eng = f90d_vm::Engine::new(prog, &mut m2);
-        for (name, data) in &inits {
-            prop_assert!(eng.seed_array(&mut m2, name, data));
-        }
-        eng.run(&mut m2).unwrap_or_else(|e| panic!("vm failed: {e}\n{src}"));
-
+        // Native tier (the default), under the sampled execution mode.
+        let (nat, t_nat, _) = run(true, p.exec)?;
         for (k, name) in names.iter().enumerate() {
-            let vm = eng.gather_array(&mut m2, name).unwrap();
-            prop_assert_eq!(&tw[k], &vm, "array {} differs: tree walk vs vm\n{}", name, src);
             let want = &reference.arrays[*name];
-            for i in 0..vm.len() {
+            for i in 0..nat[k].len() {
                 prop_assert!(
-                    vm.get(i) == want.data.get(i),
+                    nat[k].get(i) == want.data.get(i),
                     "array {}[{}] = {:?}, reference {:?}\n{}",
-                    name, i, vm.get(i), want.data.get(i), src
+                    name, i, nat[k].get(i), want.data.get(i), src
                 );
             }
         }
-        // Virtual time parity between the distributed backends.
-        prop_assert_eq!(m.elapsed(), m2.elapsed(), "virtual time differs\n{}", src);
 
-        // Bytecode engine with the native tier disabled: the pure
-        // bytecode element loop must be indistinguishable from the
-        // native-on run in arrays and virtual time, and must never
-        // report a native dispatch.
-        let mut opts_nonative = opts.clone().with_backend(Backend::Vm);
-        opts_nonative.opt.native_kernels = false;
-        let compiled_nn = compile(&src, &opts_nonative).unwrap();
-        let prog_nn = compiled_nn.vm_program().unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
-        prop_assert!(prog_nn.natives.is_empty(), "native off must select no kernels\n{}", src);
-        let mut m3 = Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&p.grid), p.exec);
-        let mut eng_nn = f90d_vm::Engine::new(prog_nn, &mut m3);
-        for (name, data) in &inits {
-            prop_assert!(eng_nn.seed_array(&mut m3, name, data));
-        }
-        eng_nn.run(&mut m3).unwrap_or_else(|e| panic!("vm (no native) failed: {e}\n{src}"));
-        prop_assert_eq!(eng_nn.native_counts().0, 0, "native off must never dispatch\n{}", src);
-        for name in &names {
-            let a = eng.gather_array(&mut m2, name).unwrap();
-            let b = eng_nn.gather_array(&mut m3, name).unwrap();
-            prop_assert_eq!(&a, &b, "array {} differs: native vs bytecode\n{}", name, src);
+        // Bytecode tier (native kernels off): the pure bytecode element
+        // loop must be indistinguishable from the native-on run in arrays
+        // and virtual time, and must never report a native dispatch.
+        let (bc, t_bc, bc_native) = run(false, p.exec)?;
+        prop_assert_eq!(bc_native, 0, "native off must never dispatch\n{}", src);
+        for (k, name) in names.iter().enumerate() {
+            prop_assert_eq!(&nat[k], &bc[k], "array {} differs: native vs bytecode\n{}", name, src);
         }
         prop_assert_eq!(
-            m2.elapsed().to_bits(), m3.elapsed().to_bits(),
+            t_nat.to_bits(), t_bc.to_bits(),
             "virtual time must be tier-independent\n{}", src
         );
 
         // Threaded samples additionally anchor against an explicitly
-        // sequential tree-walk run: arrays AND virtual time must be
-        // bit-identical across execution modes.
+        // sequential run: arrays AND virtual time must be bit-identical
+        // across execution modes.
         if p.exec == ExecMode::Threaded {
-            let mut ms = Machine::new(MachineSpec::ideal(), ProcGrid::new(&p.grid));
-            let mut exs = Executor::new(&compiled.spmd, &mut ms);
-            for (name, data) in &inits {
-                prop_assert!(exs.seed_array(&mut ms, name, data));
-            }
-            exs.run(&mut ms).unwrap_or_else(|e| panic!("sequential anchor failed: {e}\n{src}"));
+            let (seq, t_seq, _) = run(true, ExecMode::Sequential)?;
             for (k, name) in names.iter().enumerate() {
-                let seq = exs.gather_array(&mut ms, name).unwrap();
                 prop_assert_eq!(
-                    &tw[k], &seq,
+                    &nat[k], &seq[k],
                     "array {} differs: threaded vs sequential\n{}", name, src
                 );
             }
             prop_assert_eq!(
-                m.elapsed().to_bits(), ms.elapsed().to_bits(),
+                t_nat.to_bits(), t_seq.to_bits(),
                 "virtual time must be mode-independent\n{}", src
             );
         }

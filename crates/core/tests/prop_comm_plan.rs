@@ -1,16 +1,17 @@
 //! Differential property test for phase-level communication planning
 //! (`OptFlags::comm_plan`): random multi-FORALL shift kernels × grids ×
-//! machine models × both backends × both local-phase execution modes.
+//! machine models × both execution tiers (native kernels on and off) ×
+//! both local-phase execution modes.
 //!
 //! * **Bit-exactness**: the plan is a pure execution-order optimization —
 //!   arrays and PRINT output must be bit-identical with the plan on and
-//!   off, on both backends, in both execution modes.
+//!   off, on both tiers, in both execution modes.
 //! * **Traffic**: coalescing repacks strips into fewer messages; it must
 //!   never move more bytes, never send more messages, and never increase
 //!   virtual time. When it does remove wire messages the saved startups
 //!   must show up as strictly lower virtual time.
 
-use f90d_core::{compile, Backend, CompileOptions, Executor};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
 use proptest::prelude::*;
@@ -121,64 +122,40 @@ fn spec_of(name: &str) -> MachineSpec {
 
 type Metrics = (u64, u64, u64, Vec<String>, Vec<ArrayData>);
 
-/// `(virt_bits, messages, bytes, printed, arrays)` of one run.
-fn run_exec(p: &PhaseKernel, backend: Backend, plan: bool, exec: ExecMode) -> Metrics {
+/// `(virt_bits, messages, bytes, printed, arrays)` of one run on one
+/// execution tier (`native`: kernels on; off is the bytecode loop).
+fn run_exec(p: &PhaseKernel, native: bool, plan: bool, exec: ExecMode) -> Metrics {
     budget::global().ensure_total_at_least(8);
     let src = program(p);
-    let mut opts = CompileOptions::on_grid(&p.grid).with_backend(backend);
+    let mut opts = CompileOptions::on_grid(&p.grid).with_exec(exec);
+    opts.opt.native_kernels = native;
     opts.opt.comm_plan = plan;
     let compiled = compile(&src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
     let mut m = Machine::new(spec_of(p.machine), ProcGrid::new(&p.grid));
     let names: Vec<String> = (1..=p.k)
         .flat_map(|j| [format!("A{j}"), format!("B{j}")])
         .collect();
-    match backend {
-        Backend::TreeWalk => {
-            let mut ex = Executor::new(&compiled.spmd, &mut m);
-            ex.plan = plan;
-            ex.exec = Some(exec);
-            let rep = ex
-                .run(&mut m)
-                .unwrap_or_else(|e| panic!("tree walk failed: {e}\n{src}"));
-            let arrays = names
-                .iter()
-                .map(|a| ex.gather_array(&mut m, a).unwrap())
-                .collect();
-            (
-                rep.elapsed.to_bits(),
-                rep.messages,
-                rep.bytes,
-                rep.printed,
-                arrays,
-            )
-        }
-        Backend::Vm => {
-            let prog = compiled
-                .vm_program()
-                .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
-            let mut eng = f90d_vm::Engine::new(prog, &mut m);
-            eng.plan = plan;
-            eng.exec = Some(exec);
-            let rep = eng
-                .run(&mut m)
-                .unwrap_or_else(|e| panic!("vm failed: {e}\n{src}"));
-            let arrays = names
-                .iter()
-                .map(|a| eng.gather_array(&mut m, a).unwrap())
-                .collect();
-            (
-                rep.elapsed.to_bits(),
-                rep.messages,
-                rep.bytes,
-                rep.printed,
-                arrays,
-            )
-        }
-    }
+    let mut eng = compiled
+        .engine(&mut m)
+        .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
+    let rep = eng
+        .run(&mut m)
+        .unwrap_or_else(|e| panic!("run failed: {e}\n{src}"));
+    let arrays = names
+        .iter()
+        .map(|a| eng.gather_array(&mut m, a).unwrap())
+        .collect();
+    (
+        rep.elapsed.to_bits(),
+        rep.messages,
+        rep.bytes,
+        rep.printed,
+        arrays,
+    )
 }
 
-fn run(p: &PhaseKernel, backend: Backend, plan: bool) -> Metrics {
-    run_exec(p, backend, plan, p.exec)
+fn run(p: &PhaseKernel, native: bool, plan: bool) -> Metrics {
+    run_exec(p, native, plan, p.exec)
 }
 
 proptest! {
@@ -190,9 +167,9 @@ proptest! {
         // sampled mode, so this also differentially tests threaded ×
         // plan × schedule-cache against sequential.
         let (tb, msg_b, by_b, pr_b, arr_b) =
-            run_exec(&p, Backend::TreeWalk, false, ExecMode::Sequential);
-        for backend in [Backend::TreeWalk, Backend::Vm] {
-            let (to, msg_o, by_o, pr_o, arr_o) = run(&p, backend, true);
+            run_exec(&p, true, false, ExecMode::Sequential);
+        for native in [true, false] {
+            let (to, msg_o, by_o, pr_o, arr_o) = run(&p, native, true);
             prop_assert_eq!(&arr_o, &arr_b, "arrays bit-identical under the plan");
             prop_assert_eq!(&pr_o, &pr_b, "PRINT invariant under the plan");
             prop_assert_eq!(by_o, by_b, "coalescing repacks, never re-sends bytes");
@@ -217,7 +194,7 @@ proptest! {
         let comm_bound = p.grid[0] > 1
             && p.shifts.iter().take(p.k).all(|&(a, b)| a != 0 && b != 0);
         if comm_bound && msg_b > 0 {
-            let (to, msg_o, _, _, _) = run(&p, Backend::TreeWalk, true);
+            let (to, msg_o, _, _, _) = run(&p, true, true);
             prop_assert!(
                 msg_o < msg_b && f64::from_bits(to) < f64::from_bits(tb),
                 "comm-bound multi-array cell must coalesce and strictly improve\n{}",
@@ -227,14 +204,15 @@ proptest! {
     }
 
     #[test]
-    fn plan_identical_across_backends_and_deterministic(p in kernels()) {
-        let tw = run(&p, Backend::TreeWalk, true);
-        let tw2 = run(&p, Backend::TreeWalk, true);
-        prop_assert_eq!(&tw, &tw2, "planned execution must be deterministic");
-        let vm = run(&p, Backend::Vm, true);
-        prop_assert_eq!(&tw, &vm, "planned metrics must agree across backends");
+    fn plan_identical_across_tiers_and_deterministic(p in kernels()) {
+        let nat = run(&p, true, true);
+        let nat2 = run(&p, true, true);
+        prop_assert_eq!(&nat, &nat2, "planned execution must be deterministic");
+        // The bytecode tier is the oracle for the native tier's metrics.
+        let bc = run(&p, false, true);
+        prop_assert_eq!(&nat, &bc, "planned metrics must agree across tiers");
         // Execution mode must stay invisible under the plan.
-        let seq = run_exec(&p, Backend::TreeWalk, true, ExecMode::Sequential);
-        prop_assert_eq!(&tw, &seq, "threaded must be bit-identical to sequential");
+        let seq = run_exec(&p, true, true, ExecMode::Sequential);
+        prop_assert_eq!(&nat, &seq, "threaded must be bit-identical to sequential");
     }
 }

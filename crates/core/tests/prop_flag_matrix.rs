@@ -1,9 +1,9 @@
 //! Flag cross-product differential property test for the shared comm
 //! driver: every combination of `comm_compute_overlap` × `comm_plan` ×
-//! `native_kernels` × local-phase execution mode, on both backends, over
-//! random multi-statement shift kernels — all sequenced by
-//! `f90d_comm::driver`, all compared against the all-flags-off
-//! sequential tree walk.
+//! `native_kernels` × local-phase execution mode, over random
+//! multi-statement shift kernels — all sequenced by `f90d_comm::driver`,
+//! all compared against the all-flags-off sequential bytecode run, which
+//! is itself checked against the sequential reference interpreter.
 //!
 //! The driver's contract, flag by flag:
 //!
@@ -14,10 +14,13 @@
 //! * virtual time only changes under `comm_plan` (strictly fewer
 //!   startups) or `comm_compute_overlap` (different charge interleaving
 //!   by design);
-//! * at equal flags the two backends and both native tiers agree on
-//!   every metric bit-for-bit.
+//! * at equal flags the bytecode and native tiers agree on every metric
+//!   bit-for-bit.
 
-use f90d_core::{compile, Backend, CompileOptions, Executor};
+use std::collections::HashMap;
+
+use f90d_core::reference::run_reference;
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
 use proptest::prelude::*;
@@ -118,17 +121,10 @@ type Metrics = (u64, u64, u64, Vec<String>, Vec<ArrayData>);
 
 /// One run at a full flag assignment; returns
 /// `(virt_bits, messages, bytes, printed, arrays)`.
-fn run_cfg(
-    p: &Kernel,
-    backend: Backend,
-    overlap: bool,
-    plan: bool,
-    native: bool,
-    exec: ExecMode,
-) -> Metrics {
+fn run_cfg(p: &Kernel, overlap: bool, plan: bool, native: bool, exec: ExecMode) -> Metrics {
     budget::global().ensure_total_at_least(8);
     let src = program(p);
-    let mut opts = CompileOptions::on_grid(&p.grid).with_backend(backend);
+    let mut opts = CompileOptions::on_grid(&p.grid).with_exec(exec);
     opts.opt.comm_compute_overlap = overlap;
     opts.opt.comm_plan = plan;
     opts.opt.native_kernels = native;
@@ -137,51 +133,23 @@ fn run_cfg(
     let names: Vec<String> = (1..=p.k)
         .flat_map(|j| [format!("A{j}"), format!("B{j}")])
         .collect();
-    match backend {
-        Backend::TreeWalk => {
-            let mut ex = Executor::new(&compiled.spmd, &mut m);
-            ex.overlap = overlap;
-            ex.plan = plan;
-            ex.exec = Some(exec);
-            let rep = ex
-                .run(&mut m)
-                .unwrap_or_else(|e| panic!("tree walk failed: {e}\n{src}"));
-            let arrays = names
-                .iter()
-                .map(|a| ex.gather_array(&mut m, a).unwrap())
-                .collect();
-            (
-                rep.elapsed.to_bits(),
-                rep.messages,
-                rep.bytes,
-                rep.printed,
-                arrays,
-            )
-        }
-        Backend::Vm => {
-            let prog = compiled
-                .vm_program()
-                .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
-            let mut eng = f90d_vm::Engine::new(prog, &mut m);
-            eng.overlap = overlap;
-            eng.plan = plan;
-            eng.exec = Some(exec);
-            let rep = eng
-                .run(&mut m)
-                .unwrap_or_else(|e| panic!("vm failed: {e}\n{src}"));
-            let arrays = names
-                .iter()
-                .map(|a| eng.gather_array(&mut m, a).unwrap())
-                .collect();
-            (
-                rep.elapsed.to_bits(),
-                rep.messages,
-                rep.bytes,
-                rep.printed,
-                arrays,
-            )
-        }
-    }
+    let mut eng = compiled
+        .engine(&mut m)
+        .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
+    let rep = eng
+        .run(&mut m)
+        .unwrap_or_else(|e| panic!("run failed: {e}\n{src}"));
+    let arrays = names
+        .iter()
+        .map(|a| eng.gather_array(&mut m, a).unwrap())
+        .collect();
+    (
+        rep.elapsed.to_bits(),
+        rep.messages,
+        rep.bytes,
+        rep.printed,
+        arrays,
+    )
 }
 
 proptest! {
@@ -189,22 +157,29 @@ proptest! {
 
     #[test]
     fn every_flag_combination_matches_the_reference(p in kernels()) {
-        // The all-flags-off sequential tree walk is the semantic anchor.
+        // The all-flags-off sequential bytecode tier is the semantic
+        // anchor; its arrays and PRINT output must in turn match the
+        // sequential reference interpreter.
         let (tb, msg_b, by_b, pr_b, arr_b) =
-            run_cfg(&p, Backend::TreeWalk, false, false, false, ExecMode::Sequential);
+            run_cfg(&p, false, false, false, ExecMode::Sequential);
+        let src = program(&p);
+        let analyzed = compile(&src, &CompileOptions::on_grid(&p.grid)).unwrap().analyzed;
+        let reference = run_reference(&analyzed, &HashMap::new()).unwrap();
+        prop_assert_eq!(&pr_b, &reference.printed, "anchor PRINT vs reference");
+        let names = (1..=p.k).flat_map(|j| [format!("A{j}"), format!("B{j}")]);
+        for (name, got) in names.zip(&arr_b) {
+            prop_assert_eq!(got, &reference.arrays[&name].data, "anchor {} vs reference", name);
+        }
         for overlap in [false, true] {
             for plan in [false, true] {
-                // Tree walk ignores `native`; run the VM tier both ways
-                // and require all three agree with each other exactly.
-                let tw = run_cfg(&p, Backend::TreeWalk, overlap, plan, false, p.exec);
-                let vm = run_cfg(&p, Backend::Vm, overlap, plan, false, p.exec);
-                let nat = run_cfg(&p, Backend::Vm, overlap, plan, true, p.exec);
-                prop_assert_eq!(&tw, &vm,
-                    "backends must agree at overlap={} plan={}", overlap, plan);
-                prop_assert_eq!(&vm, &nat,
+                // Run the bytecode and native tiers and require that they
+                // agree with each other exactly.
+                let bc = run_cfg(&p, overlap, plan, false, p.exec);
+                let nat = run_cfg(&p, overlap, plan, true, p.exec);
+                prop_assert_eq!(&bc, &nat,
                     "native tier must be invisible at overlap={} plan={}", overlap, plan);
 
-                let (to, msg_o, by_o, pr_o, arr_o) = tw;
+                let (to, msg_o, by_o, pr_o, arr_o) = bc;
                 prop_assert_eq!(&arr_o, &arr_b,
                     "arrays bit-identical at overlap={} plan={}", overlap, plan);
                 prop_assert_eq!(&pr_o, &pr_b,
@@ -226,7 +201,7 @@ proptest! {
                     );
                 }
                 // overlap on: virtual time differs by design (interior
-                // compute charges against wire time); the cross-backend
+                // compute charges against wire time); the cross-tier
                 // equality above is the invariant that matters.
             }
         }
@@ -234,12 +209,12 @@ proptest! {
 
     #[test]
     fn full_flag_runs_are_deterministic(p in kernels()) {
-        // Everything on at once, twice, both backends: the driver's
-        // sequencing must be a pure function of the program.
-        let a = run_cfg(&p, Backend::Vm, true, true, true, p.exec);
-        let b = run_cfg(&p, Backend::Vm, true, true, true, p.exec);
-        prop_assert_eq!(&a, &b, "all-flags-on VM run must be deterministic");
-        let tw = run_cfg(&p, Backend::TreeWalk, true, true, true, p.exec);
-        prop_assert_eq!(&a, &tw, "all-flags-on metrics must agree across backends");
+        // Everything on at once, twice, plus the bytecode tier: the
+        // driver's sequencing must be a pure function of the program.
+        let a = run_cfg(&p, true, true, true, p.exec);
+        let b = run_cfg(&p, true, true, true, p.exec);
+        prop_assert_eq!(&a, &b, "all-flags-on run must be deterministic");
+        let bc = run_cfg(&p, true, true, false, p.exec);
+        prop_assert_eq!(&a, &bc, "all-flags-on metrics must agree across tiers");
     }
 }

@@ -1,11 +1,11 @@
 //! Differential property test for the transport redesign: random shift
-//! kernels × grids × both backends × both local-phase execution modes
+//! kernels × grids × both execution tiers × both local-phase execution modes
 //! (threaded runs lease pool workers from the process-wide budget and
 //! must be bit-identical to sequential ones, including under overlap).
 //!
 //! * **Blocking wrappers**: executing through the posted-operation API's
 //!   post-then-finish wrappers must be deterministic and bit-identical
-//!   across backends — the committed `BENCH_baseline.json` (CI's
+//!   across tiers — the committed `BENCH_baseline.json` (CI's
 //!   `repro --quick --baseline` gate) pins these same metrics against the
 //!   pre-redesign blocking transport, so equality here plus the CI gate
 //!   is the "≡ pre-redesign baseline" property.
@@ -13,7 +13,7 @@
 //!   message and byte counts bit-identical, never increase virtual time,
 //!   and strictly decrease it on communication-bound multi-rank stencils.
 
-use f90d_core::{compile, Backend, CompileOptions, Executor};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
 use proptest::prelude::*;
@@ -100,80 +100,57 @@ fn spec_of(name: &str) -> MachineSpec {
 
 type Metrics = (u64, u64, u64, Vec<String>, Vec<ArrayData>);
 
-/// `(virt_bits, messages, bytes, printed, arrays)` of one run under an
-/// explicit execution mode, wired through the executor/engine `exec`
-/// field exactly as `CompileOptions::exec_mode` is.
-fn run_exec(p: &ShiftKernel, backend: Backend, overlap: bool, exec: ExecMode) -> Metrics {
+/// `(virt_bits, messages, bytes, printed, arrays)` of one run on one
+/// execution tier (`native`: kernels on; off is the bytecode loop) under
+/// an explicit execution mode, wired through
+/// `CompileOptions::exec_mode`.
+fn run_exec(p: &ShiftKernel, native: bool, overlap: bool, exec: ExecMode) -> Metrics {
     budget::global().ensure_total_at_least(8);
     let src = program(p);
-    let mut opts = CompileOptions::on_grid(&p.grid).with_backend(backend);
+    let mut opts = CompileOptions::on_grid(&p.grid).with_exec(exec);
+    opts.opt.native_kernels = native;
     opts.opt.comm_compute_overlap = overlap;
     let compiled = compile(&src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
     let mut m = Machine::new(spec_of(p.machine), ProcGrid::new(&p.grid));
-    match backend {
-        Backend::TreeWalk => {
-            let mut ex = Executor::new(&compiled.spmd, &mut m);
-            ex.overlap = overlap;
-            ex.exec = Some(exec);
-            let rep = ex
-                .run(&mut m)
-                .unwrap_or_else(|e| panic!("tree walk failed: {e}\n{src}"));
-            let arrays = ["A", "B"]
-                .iter()
-                .map(|a| ex.gather_array(&mut m, a).unwrap())
-                .collect();
-            (
-                rep.elapsed.to_bits(),
-                rep.messages,
-                rep.bytes,
-                rep.printed,
-                arrays,
-            )
-        }
-        Backend::Vm => {
-            let prog = compiled
-                .vm_program()
-                .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
-            let mut eng = f90d_vm::Engine::new(prog, &mut m);
-            eng.overlap = overlap;
-            eng.exec = Some(exec);
-            let rep = eng
-                .run(&mut m)
-                .unwrap_or_else(|e| panic!("vm failed: {e}\n{src}"));
-            let arrays = ["A", "B"]
-                .iter()
-                .map(|a| eng.gather_array(&mut m, a).unwrap())
-                .collect();
-            (
-                rep.elapsed.to_bits(),
-                rep.messages,
-                rep.bytes,
-                rep.printed,
-                arrays,
-            )
-        }
-    }
+    let mut eng = compiled
+        .engine(&mut m)
+        .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
+    let rep = eng
+        .run(&mut m)
+        .unwrap_or_else(|e| panic!("run failed: {e}\n{src}"));
+    let arrays = ["A", "B"]
+        .iter()
+        .map(|a| eng.gather_array(&mut m, a).unwrap())
+        .collect();
+    (
+        rep.elapsed.to_bits(),
+        rep.messages,
+        rep.bytes,
+        rep.printed,
+        arrays,
+    )
 }
 
 /// [`run_exec`] under the kernel's sampled mode.
-fn run(p: &ShiftKernel, backend: Backend, overlap: bool) -> Metrics {
-    run_exec(p, backend, overlap, p.exec)
+fn run(p: &ShiftKernel, native: bool, overlap: bool) -> Metrics {
+    run_exec(p, native, overlap, p.exec)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn blocking_wrappers_deterministic_and_backend_identical(p in kernels()) {
-        let tw = run(&p, Backend::TreeWalk, false);
-        let tw2 = run(&p, Backend::TreeWalk, false);
-        prop_assert_eq!(&tw, &tw2, "blocking wrappers must be deterministic");
-        let vm = run(&p, Backend::Vm, false);
-        prop_assert_eq!(&tw, &vm, "blocking metrics must agree across backends");
+    fn blocking_wrappers_deterministic_and_tier_identical(p in kernels()) {
+        let nat = run(&p, true, false);
+        let nat2 = run(&p, true, false);
+        prop_assert_eq!(&nat, &nat2, "blocking wrappers must be deterministic");
+        // The bytecode tier is the oracle for the native tier's metrics.
+        let bc = run(&p, false, false);
+        prop_assert_eq!(&nat, &bc, "blocking metrics must agree across tiers");
         // Execution mode must be invisible in every metric: anchor the
         // sampled mode against an explicitly sequential run.
-        let seq = run_exec(&p, Backend::TreeWalk, false, ExecMode::Sequential);
-        prop_assert_eq!(&tw, &seq, "threaded must be bit-identical to sequential");
+        let seq = run_exec(&p, true, false, ExecMode::Sequential);
+        prop_assert_eq!(&nat, &seq, "threaded must be bit-identical to sequential");
     }
 
     #[test]
@@ -181,9 +158,9 @@ proptest! {
         // Sequential blocking anchor: the overlap runs below execute in
         // the sampled mode, so this also differentially tests
         // threaded × overlap × schedule-cache against sequential.
-        let (tb, msg_b, by_b, pr_b, arr_b) = run_exec(&p, Backend::TreeWalk, false, ExecMode::Sequential);
-        for backend in [Backend::TreeWalk, Backend::Vm] {
-            let (to, msg_o, by_o, pr_o, arr_o) = run(&p, backend, true);
+        let (tb, msg_b, by_b, pr_b, arr_b) = run_exec(&p, true, false, ExecMode::Sequential);
+        for native in [true, false] {
+            let (to, msg_o, by_o, pr_o, arr_o) = run(&p, native, true);
             prop_assert_eq!(msg_o, msg_b, "messages invariant under overlap");
             prop_assert_eq!(by_o, by_b, "bytes invariant under overlap");
             prop_assert_eq!(&pr_o, &pr_b, "PRINT invariant under overlap");

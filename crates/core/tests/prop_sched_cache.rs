@@ -1,6 +1,7 @@
 //! Differential property test for the cross-run schedule cache: random
 //! unstructured (PARTI-style) request patterns × grids × both execution
-//! backends must produce **bit-identical** virtual time, message/byte
+//! tiers (native kernels on and off) must produce **bit-identical**
+//! virtual time, message/byte
 //! counts, PRINT output and machine stats whether the process-wide
 //! schedule cache is cold, warm (the hit path that skips the inspector
 //! rebuild), or disabled (`repro --no-sched-cache`) — and whichever
@@ -8,7 +9,7 @@
 //! so threaded × schedule-cache interactions are differentially tested
 //! against sequential through the same `run_on` path the harness uses.
 
-use f90d_core::{compile, Backend, CompileOptions, ExecReport};
+use f90d_core::{compile, CompileOptions, ExecReport};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ExecMode, Machine, MachineSpec};
 use proptest::prelude::*;
@@ -23,7 +24,8 @@ struct RandIrregular {
     iters: i64,
     dist: &'static str,
     grid: Vec<i64>,
-    backend: Backend,
+    /// Native kernel tier on (`false`: the bytecode element loop only).
+    native: bool,
     exec: ExecMode,
 }
 
@@ -76,7 +78,7 @@ fn rand_irregular() -> impl Strategy<Value = RandIrregular> {
         prop_oneof![Just(ExecMode::Sequential), Just(ExecMode::Threaded)],
     )
         .prop_map(
-            |(n, ku, kv, iters, dist, grid_pick, vm, exec)| RandIrregular {
+            |(n, ku, kv, iters, dist, grid_pick, native, exec)| RandIrregular {
                 n,
                 ku,
                 kv,
@@ -87,7 +89,7 @@ fn rand_irregular() -> impl Strategy<Value = RandIrregular> {
                     1 => vec![2],
                     _ => vec![4],
                 },
-                backend: if vm { Backend::Vm } else { Backend::TreeWalk },
+                native,
                 exec,
             },
         )
@@ -98,7 +100,8 @@ fn rand_irregular() -> impl Strategy<Value = RandIrregular> {
 /// when the cache skips the rebuild).
 fn run(src: &str, p: &RandIrregular, sched_cache: bool) -> (ExecReport, Vec<(&'static str, u64)>) {
     budget::global().ensure_total_at_least(8);
-    let mut opts = CompileOptions::on_grid(&p.grid).with_backend(p.backend);
+    let mut opts = CompileOptions::on_grid(&p.grid);
+    opts.opt.native_kernels = p.native;
     opts.sched_cache = sched_cache;
     opts.exec_mode = Some(p.exec);
     let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
@@ -149,16 +152,16 @@ proptest! {
         }
     }
 
-    /// Both backends, same pattern, both cache modes: one modelled
-    /// machine. (The backend-equivalence suite proves this broadly; this
-    /// narrows it to programs whose communication is schedule-dominated.)
+    /// Both tiers, same pattern, cache on: one modelled machine. (The
+    /// tier-equivalence suite proves this broadly; this narrows it to
+    /// programs whose communication is schedule-dominated.)
     #[test]
-    fn backends_agree_under_the_cache(p in rand_irregular()) {
+    fn tiers_agree_under_the_cache(p in rand_irregular()) {
         let src = program(&p);
-        let tw = RandIrregular { backend: Backend::TreeWalk, ..p.clone() };
-        let vm = RandIrregular { backend: Backend::Vm, ..p };
-        let (a, _) = run(&src, &tw, true);
-        let (b, _) = run(&src, &vm, true);
-        assert_bit_identical(&a, &b, "treewalk vs vm (cached)", &src);
+        let bytecode = RandIrregular { native: false, ..p.clone() };
+        let native = RandIrregular { native: true, ..p };
+        let (a, _) = run(&src, &bytecode, true);
+        let (b, _) = run(&src, &native, true);
+        assert_bit_identical(&a, &b, "bytecode vs native (cached)", &src);
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests for the three-stage mapping invariants (DESIGN.md §7):
+//! Property tests for the three-stage mapping invariants:
 //! ownership partitions, `μ⁻¹∘μ = id`, `set_BOUND` covers iteration spaces
 //! exactly and disjointly for every distribution kind.
 

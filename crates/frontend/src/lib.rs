@@ -1,7 +1,7 @@
 //! # f90d-frontend — the Fortran 90D/HPF front end
 //!
 //! The paper obtained its Fortran 90 parser from ParaSoft; we build our
-//! own for the language subset the compiler consumes (DESIGN.md §2):
+//! own for the language subset the compiler consumes:
 //!
 //! * free-form Fortran 90 with `&` continuations and `!` comments;
 //! * `PROGRAM` / `SUBROUTINE` units, type declarations with array

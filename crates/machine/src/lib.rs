@@ -1,11 +1,10 @@
 //! # f90d-machine — simulated distributed-memory MIMD machine
 //!
 //! The paper evaluates on an Intel iPSC/860 and an nCUBE/2. We do not have
-//! that hardware, so this crate provides the substitution documented in
-//! DESIGN.md §2: a deterministic *virtual-time* simulation of a
-//! distributed-memory message-passing multicomputer, with per-machine cost
-//! models ([`spec::MachineSpec`]) and physical topologies
-//! ([`spec::Topology`]).
+//! that hardware, so this crate substitutes a deterministic
+//! *virtual-time* simulation of a distributed-memory message-passing
+//! multicomputer, with per-machine cost models ([`spec::MachineSpec`])
+//! and physical topologies ([`spec::Topology`]).
 //!
 //! The pieces:
 //!

@@ -93,7 +93,6 @@ pub fn run_to_json(req: &RunRequest) -> Json {
                     Json::Str(
                         match req.backend {
                             f90d_core::Backend::Vm => "vm",
-                            f90d_core::Backend::TreeWalk => "treewalk",
                         }
                         .into(),
                     ),
@@ -128,7 +127,7 @@ mod tests {
             source: "PROGRAM X\nEND\n".into(),
             grid: vec![2, 2],
             machine: "ncube2".into(),
-            backend: f90d_core::Backend::TreeWalk,
+            backend: f90d_core::Backend::Vm,
             sched_cache: false,
             threaded: true,
             overlap: true,

@@ -172,11 +172,10 @@ fn parse_run(doc: &Json) -> Result<RunRequest, Reject> {
     }
     let backend = match field_str(options, "backend") {
         None | Some("vm") => Backend::Vm,
-        Some("treewalk") => Backend::TreeWalk,
         Some(other) => {
             return Err(Reject::new(
                 400,
-                format!("unknown backend `{other}` (want vm or treewalk)"),
+                format!("unknown backend `{other}` (want vm)"),
             ))
         }
     };
@@ -214,8 +213,8 @@ pub struct RunOutcome {
     pub bytes: u64,
     /// PRINT output lines.
     pub printed: Vec<String>,
-    /// VM program-cache outcome (`None` on the tree-walk backend).
-    pub program_cache_hit: Option<bool>,
+    /// VM program-cache outcome.
+    pub program_cache_hit: bool,
     /// Cross-run schedule-cache hits during the execution.
     pub sched_hits: u64,
     /// Cross-run schedule-cache misses (inspector builds).
@@ -266,10 +265,7 @@ pub fn run_response(out: &RunOutcome, joined: bool, queue_wait_ms: f64) -> Json 
             Json::Obj(vec![
                 (
                     "program_cache_hit".into(),
-                    match out.program_cache_hit {
-                        Some(b) => Json::Bool(b),
-                        None => Json::Null,
-                    },
+                    Json::Bool(out.program_cache_hit),
                 ),
                 ("sched_hits".into(), num(out.sched_hits as f64)),
                 ("sched_misses".into(), num(out.sched_misses as f64)),
@@ -335,11 +331,11 @@ mod tests {
 
     #[test]
     fn full_options_parse() {
-        let line = br#"{"op":"run","source":"S","grid":[2,2],"machine":"ncube2","options":{"backend":"treewalk","exec":"threaded","sched_cache":false,"overlap":true}}"#;
+        let line = br#"{"op":"run","source":"S","grid":[2,2],"machine":"ncube2","options":{"backend":"vm","exec":"threaded","sched_cache":false,"overlap":true}}"#;
         let Request::Run(run) = parse_request(line, &limits()).unwrap() else {
             panic!("want run")
         };
-        assert_eq!(run.backend, Backend::TreeWalk);
+        assert_eq!(run.backend, Backend::Vm);
         assert!(run.threaded);
         assert!(!run.sched_cache);
         assert!(run.overlap);
@@ -375,6 +371,10 @@ mod tests {
                 "unknown backend",
             ),
             (
+                &br#"{"op":"run","source":"x","grid":[4],"options":{"backend":"treewalk"}}"#[..],
+                "unknown backend",
+            ),
+            (
                 &br#"{"op":"run","source":"x","grid":[4],"options":{"sched_cache":3}}"#[..],
                 "boolean",
             ),
@@ -396,10 +396,12 @@ mod tests {
             _ => panic!(),
         };
         let a = parse(br#"{"op":"run","source":"S","grid":[4]}"#);
-        let b = parse(br#"{"op":"run","source":"S","grid":[4],"machine":"ipsc860"}"#);
+        let b = parse(
+            br#"{"op":"run","source":"S","grid":[4],"machine":"ipsc860","options":{"backend":"vm"}}"#,
+        );
         assert_eq!(a, b, "defaults normalize into the key");
-        let c = parse(br#"{"op":"run","source":"S","grid":[4],"options":{"backend":"treewalk"}}"#);
-        assert_ne!(a, c, "backend is part of the job identity");
+        let c = parse(br#"{"op":"run","source":"S","grid":[4],"options":{"overlap":true}}"#);
+        assert_ne!(a, c, "execution options are part of the job identity");
     }
 
     #[test]
@@ -409,7 +411,7 @@ mod tests {
             messages: 3,
             bytes: 24,
             printed: vec!["x".into()],
-            program_cache_hit: Some(true),
+            program_cache_hit: true,
             sched_hits: 1,
             sched_misses: 0,
             workers: 0,

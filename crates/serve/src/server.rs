@@ -104,6 +104,12 @@ impl ServerState {
         }
     }
 
+    /// The admission gate every run request passes. Holding one of its
+    /// tickets occupies a run slot exactly as an executing job does.
+    pub fn admission(&self) -> &Admission {
+        &self.admission
+    }
+
     /// Ask the server to drain and stop (same effect as SIGTERM).
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);

@@ -48,7 +48,7 @@ pub enum AccPlan {
         arr: ArrId,
     },
     /// Read a slab temporary produced by multicast/transfer; the
-    /// subscript of `fixed_dim` is dropped.
+    /// subscript of `fixed_dim` is dropped at lowering.
     Slab {
         /// The temporary.
         tmp: ArrId,
@@ -68,14 +68,6 @@ impl AccPlan {
         match *self {
             AccPlan::Owned { arr } => arr,
             AccPlan::Slab { tmp, .. } | AccPlan::Same { tmp } => tmp,
-        }
-    }
-
-    /// The dropped source dimension, for slab reads.
-    pub fn dropped_dim(&self) -> Option<usize> {
-        match *self {
-            AccPlan::Slab { fixed_dim, .. } => Some(fixed_dim),
-            _ => None,
         }
     }
 }
@@ -263,8 +255,8 @@ pub struct VmForall {
     pub gathers: Vec<VmGather>,
     /// `set_BOUND` masking of inactive processors.
     pub owner_filter: Vec<(ArrId, usize, ExprCode)>,
-    /// Body assignments.
-    pub body: Vec<VmAssign>,
+    /// The body's elementwise assignment.
+    pub body: VmAssign,
     /// Accessor ids the element loop references (for per-rank resolution).
     pub accs_used: Vec<u16>,
     /// Native-tier kernel selected at lowering time
@@ -617,9 +609,7 @@ impl VmProgram {
             for v in &f.vars {
                 n += code_ops(&v.lb) + code_ops(&v.ub) + code_ops(&v.st);
             }
-            for b in &f.body {
-                n += code_ops(&b.rhs) + b.subs.iter().map(code_ops).sum::<usize>();
-            }
+            n += code_ops(&f.body.rhs) + f.body.subs.iter().map(code_ops).sum::<usize>();
             for g in &f.gathers {
                 n += g.subs.iter().map(code_ops).sum::<usize>();
             }

@@ -1,12 +1,11 @@
 //! The bytecode execution engine.
 //!
-//! Runs a [`VmProgram`] against a simulated machine with the same
-//! loosely synchronous structure and the same virtual-time cost model as
-//! the tree-walking executor in `f90d-core` — but the per-element hot
-//! path is a flat fetch/decode loop over pre-resolved register code:
-//! array accesses go through per-rank *resolved accessors* (affine
-//! local-index forms plus a row-major stride sum) instead of per-element
-//! descriptor math and name lookups.
+//! Runs a [`VmProgram`] against a simulated machine, loosely
+//! synchronously, charging the machine's virtual-time cost model. The
+//! per-element hot path is a flat fetch/decode loop over pre-resolved
+//! register code: array accesses go through per-rank *resolved
+//! accessors* (affine local-index forms plus a row-major stride sum)
+//! instead of per-element descriptor math and name lookups.
 //!
 //! FORALL local phases run under the machine's
 //! [`ExecMode`](f90d_machine::ExecMode) — rank by
@@ -56,7 +55,7 @@ fn verr<T>(msg: impl Into<String>) -> VmResult<T> {
     Err(VmError(msg.into()))
 }
 
-/// Result of one execution (mirror of the tree-walker's report).
+/// Result of one execution.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Modelled elapsed time (seconds on the simulated machine).
@@ -99,8 +98,6 @@ enum RDim {
 struct ResolvedAcc {
     /// The array actually read/written.
     target: ArrId,
-    /// Source dimension dropped before indexing (slab reads).
-    drop_dim: Option<usize>,
     /// Per-dimension index transforms.
     dims: Vec<RDim>,
     /// Global extent per dimension (bounds check).
@@ -112,19 +109,16 @@ struct ResolvedAcc {
 }
 
 impl ResolvedAcc {
-    /// Flat padded offset of global subscripts `subs` (which still
-    /// include any dropped slab dimension).
+    /// Flat padded offset of global subscripts `subs`, one per
+    /// dimension of the target (lowering already removed a slab read's
+    /// fixed source dimension).
     #[inline]
     fn offset(&self, subs: &[i64], name: &str, rank: i64) -> Result<usize, String> {
         let mut off: i64 = 0;
-        let mut k = 0usize;
-        for (d, &g) in subs.iter().enumerate() {
-            if Some(d) == self.drop_dim {
-                continue;
-            }
+        for (k, &g) in subs.iter().enumerate() {
             if g < 0 || g >= self.extents[k] {
                 return Err(format!(
-                    "subscript {} out of bounds on dim {d} of {name} (extent {})",
+                    "subscript {} out of bounds on dim {k} of {name} (extent {})",
                     g + 1,
                     self.extents[k]
                 ));
@@ -151,7 +145,6 @@ impl ResolvedAcc {
                 ));
             }
             off += l_pad * self.strides[k];
-            k += 1;
         }
         Ok(off as usize)
     }
@@ -848,7 +841,7 @@ impl Engine {
         }
         self.native_fallback += 1;
         // Main loop: one local phase under the machine's ExecMode.
-        let scatter = f.body.iter().find_map(|b| b.scatter);
+        let scatter = f.body.scatter;
         let max_regs = forall_max_regs(f);
         let results: Vec<Result<ScatterOut, String>> = m.local_phase_map(|rank, mem| {
             match run_forall_rank(
@@ -878,20 +871,18 @@ impl Engine {
         Ok(())
     }
 
-    /// Mirror of the tree walker's overlap eligibility test: the prelude
-    /// is pure `overlap_shift`, no gathers, no owner filter, owned writes
-    /// only, and every shifted dimension maps onto a stride-1 `OwnerDim`
-    /// loop variable per the shared [`driver::stencil_margins`] geometry.
-    /// Returns the per-variable ghost margins, or `None` to fall back to
-    /// blocking execution. The margin arithmetic, the eligibility core,
-    /// and the interior/boundary split all live in `f90d_comm`, shared
-    /// with the tree walker, so the backends cannot drift on which
-    /// FORALLs overlap or which tuples count as interior.
+    /// Overlap eligibility: the prelude is pure `overlap_shift`, no
+    /// gathers, no owner filter, owned writes only, and every shifted
+    /// dimension maps onto a stride-1 `OwnerDim` loop variable per the
+    /// shared [`driver::stencil_margins`] geometry. Returns the
+    /// per-variable ghost margins, or `None` to fall back to blocking
+    /// execution. The margin arithmetic, the eligibility core, and the
+    /// interior/boundary split all live in `f90d_comm`.
     fn overlap_plan(&self, f: &VmForall, prog: &VmProgram) -> Option<Margins> {
         if f.pre.is_empty() || !f.gathers.is_empty() || !f.owner_filter.is_empty() {
             return None;
         }
-        if !f.body.iter().all(|b| b.scatter.is_none()) {
+        if f.body.scatter.is_some() {
             return None;
         }
         let loop_dims: Vec<Option<&ArrayDimMap>> = f
@@ -1102,7 +1093,6 @@ impl Engine {
         }
         ResolvedAcc {
             target,
-            drop_dim: plan.dropped_dim(),
             dims,
             extents,
             padded,
@@ -1127,7 +1117,7 @@ impl Engine {
         kernel: &NativeKernel,
         iter_lists: &[Vec<Vec<i64>>],
         resolved: &[Vec<Option<ResolvedAcc>>],
-    ) -> Option<Vec<Option<Vec<NatBody>>>> {
+    ) -> Option<Vec<Option<NatBody>>> {
         let nv = kernel.var_slots.len();
         let mut out = Vec::with_capacity(iter_lists.len());
         for (rank, lists) in iter_lists.iter().enumerate() {
@@ -1140,43 +1130,40 @@ impl Engine {
             let lo: Vec<i64> = lists.iter().map(|l| l[0]).collect();
             let hi: Vec<i64> = lists.iter().map(|l| *l.last().unwrap()).collect();
             let table = &resolved[rank];
-            let mut bodies = Vec::with_capacity(kernel.bodies.len());
-            for b in &kernel.bodies {
-                let mut read_offs = Vec::with_capacity(b.reads.len());
-                let mut read_arrs = Vec::with_capacity(b.reads.len());
-                for site in &b.reads {
-                    let racc = table[site.acc as usize].as_ref()?;
-                    read_offs.push(self.bind_site(site, racc, kernel, nv, &lo, &hi)?);
-                    read_arrs.push(racc.target);
-                }
-                let lhs = table[b.lhs_acc as usize].as_ref()?;
-                let lhs_site = ReadSite {
-                    acc: b.lhs_acc,
-                    subs: b.lhs_subs.clone(),
-                };
-                let lhs_off = self.bind_site(&lhs_site, lhs, kernel, nv, &lo, &hi)?;
-                let mut lin_vals = Vec::with_capacity(b.lins.len());
-                for lin in &b.lins {
-                    lin_vals.push(self.bind_lin(lin, kernel, nv)?);
-                }
-                let mut scalars = Vec::with_capacity(b.scalar_slots.len());
-                for &slot in &b.scalar_slots {
-                    match self.scalars[slot as usize] {
-                        Value::Real(v) => scalars.push(v),
-                        _ => return None,
-                    }
-                }
-                bodies.push(NatBody {
-                    func: b.func.clone(),
-                    read_offs,
-                    read_arrs,
-                    lin_vals,
-                    scalars,
-                    lhs_off,
-                    cost: b.cost,
-                });
+            let b = &kernel.body;
+            let mut read_offs = Vec::with_capacity(b.reads.len());
+            let mut read_arrs = Vec::with_capacity(b.reads.len());
+            for site in &b.reads {
+                let racc = table[site.acc as usize].as_ref()?;
+                read_offs.push(self.bind_site(site, racc, kernel, nv, &lo, &hi)?);
+                read_arrs.push(racc.target);
             }
-            out.push(Some(bodies));
+            let lhs = table[b.lhs_acc as usize].as_ref()?;
+            let lhs_site = ReadSite {
+                acc: b.lhs_acc,
+                subs: b.lhs_subs.clone(),
+            };
+            let lhs_off = self.bind_site(&lhs_site, lhs, kernel, nv, &lo, &hi)?;
+            let mut lin_vals = Vec::with_capacity(b.lins.len());
+            for lin in &b.lins {
+                lin_vals.push(self.bind_lin(lin, kernel, nv)?);
+            }
+            let mut scalars = Vec::with_capacity(b.scalar_slots.len());
+            for &slot in &b.scalar_slots {
+                match self.scalars[slot as usize] {
+                    Value::Real(v) => scalars.push(v),
+                    _ => return None,
+                }
+            }
+            out.push(Some(NatBody {
+                func: b.func.clone(),
+                read_offs,
+                read_arrs,
+                lin_vals,
+                scalars,
+                lhs_off,
+                cost: b.cost,
+            }));
         }
         Some(out)
     }
@@ -1207,9 +1194,8 @@ impl Engine {
 
     /// Compose a site's affine subscripts through a resolved accessor
     /// into a flat padded-offset affine form — the symbolic mirror of
-    /// [`ResolvedAcc::offset`], including the slab drop-dim skip and
-    /// both bounds checks (validated over the iteration box corners
-    /// instead of per element).
+    /// [`ResolvedAcc::offset`], including both bounds checks (validated
+    /// over the iteration box corners instead of per element).
     fn bind_site(
         &self,
         site: &ReadSite,
@@ -1223,11 +1209,7 @@ impl Engine {
             base: 0,
             k: vec![0; nv],
         };
-        let mut k = 0usize;
-        for (d, sub) in site.subs.iter().enumerate() {
-            if Some(d) == racc.drop_dim {
-                continue;
-            }
+        for (k, sub) in site.subs.iter().enumerate() {
             let g = self.bind_lin(sub, kernel, nv)?;
             let (gmin, gmax) = g.range(lo, hi);
             if gmin < 0 || gmax >= racc.extents[k] {
@@ -1242,7 +1224,6 @@ impl Engine {
                 return None;
             }
             off.add_scaled(&l, racc.strides[k]);
-            k += 1;
         }
         Some(off)
     }
@@ -1383,7 +1364,7 @@ impl Engine {
         outputs: &[ScatterOut],
     ) -> VmResult<()> {
         let prog = self.prog.clone();
-        let dst = f.body[0].arr;
+        let dst = f.body.arr;
         let dst_name = prog.arrays[dst].name.clone();
         let dst_dad = self.dads[dst].clone();
         let ty = prog.arrays[dst].ty;
@@ -1425,8 +1406,7 @@ impl Engine {
 /// interior/boundary element loops ([`run_forall_rank`], uncommitted)
 /// under the machine's `ExecMode` via `local_phase_map`, which charges
 /// interior ranks as usual and each rank's boundary slabs as one summed
-/// lump (the tree walker charges identically, keeping backend virtual
-/// time bit-equal).
+/// lump.
 struct VmSink<'a> {
     prog: &'a VmProgram,
     f: &'a VmForall,
@@ -1513,7 +1493,7 @@ impl ComputeSink for VmSink<'_> {
     }
 
     fn commit(&mut self, m: &mut Machine) -> VmResult<()> {
-        let name = &self.prog.arrays[self.f.body[0].arr].name;
+        let name = &self.prog.arrays[self.f.body.arr].name;
         for (rank, writes) in std::mem::take(&mut self.staged).into_iter().enumerate() {
             if writes.is_empty() {
                 continue;
@@ -1556,11 +1536,9 @@ fn forall_max_regs(f: &VmForall) -> usize {
             .max(v.ub.nregs as usize)
             .max(v.st.nregs as usize);
     }
-    for b in &f.body {
-        n = n.max(b.rhs.nregs as usize);
-        for s in &b.subs {
-            n = n.max(s.nregs as usize);
-        }
+    n = n.max(f.body.rhs.nregs as usize);
+    for s in &f.body.subs {
+        n = n.max(s.nregs as usize);
     }
     for g in &f.gathers {
         for s in &g.subs {
@@ -1618,7 +1596,7 @@ impl NatAff {
     }
 }
 
-/// One kernel body bound to one rank: everything the element loop needs
+/// A kernel body bound to one rank: everything the element loop needs
 /// with no descriptor math, bounds checks, or `Value` boxing left.
 struct NatBody {
     func: ElemFn,
@@ -1644,33 +1622,28 @@ fn run_native_forall(
     prog: &VmProgram,
     f: &VmForall,
     m: &mut Machine,
-    bound: &[Option<Vec<NatBody>>],
+    bound: &[Option<NatBody>],
     iter_lists: &[Vec<Vec<i64>>],
 ) -> VmResult<()> {
-    let commit_name = &prog.arrays[f.body[0].arr].name;
+    let commit_name = &prog.arrays[f.body.arr].name;
     m.local_phase(|rank, mem| {
-        let Some(bodies) = &bound[rank as usize] else {
+        let Some(b) = &bound[rank as usize] else {
             return 0;
         };
         let lists = &iter_lists[rank as usize];
         // Lazily-allocated segments expose no raw slice until their
         // buffer exists (`LocalArray::data`); force every array this
         // phase will view before taking shared borrows.
-        for b in bodies {
-            for &arr in &b.read_arrs {
-                mem.array_mut(&prog.arrays[arr].name).materialize();
-            }
+        for &arr in &b.read_arrs {
+            mem.array_mut(&prog.arrays[arr].name).materialize();
         }
         // Pre-borrow every read view as a raw f64 slice (selection
         // admits REAL arrays only).
-        let mut view_base = Vec::with_capacity(bodies.len());
-        let mut views: Vec<&[f64]> = Vec::new();
-        for b in bodies {
-            view_base.push(views.len());
-            for &arr in &b.read_arrs {
-                views.push(mem.array(&prog.arrays[arr].name).data().as_real_slice());
-            }
-        }
+        let views: Vec<&[f64]> = b
+            .read_arrs
+            .iter()
+            .map(|&arr| mem.array(&prog.arrays[arr].name).data().as_real_slice())
+            .collect();
         let mut vals = vec![0i64; lists.len()];
         let mut readbuf: Vec<f64> = Vec::new();
         let mut linbuf: Vec<i64> = Vec::new();
@@ -1681,23 +1654,21 @@ fn run_native_forall(
             for (k, list) in lists.iter().enumerate() {
                 vals[k] = list[cursor[k]];
             }
-            for (bi, b) in bodies.iter().enumerate() {
-                readbuf.clear();
-                for (ri, off) in b.read_offs.iter().enumerate() {
-                    readbuf.push(views[view_base[bi] + ri][off.at(&vals) as usize]);
-                }
-                linbuf.clear();
-                for l in &b.lin_vals {
-                    linbuf.push(l.at(&vals));
-                }
-                let v = (b.func)(&ElemArgs {
-                    reads: &readbuf,
-                    lins: &linbuf,
-                    scalars: &b.scalars,
-                });
-                ops += b.cost;
-                staged.push((b.lhs_off.at(&vals) as usize, v));
+            readbuf.clear();
+            for (view, off) in views.iter().zip(&b.read_offs) {
+                readbuf.push(view[off.at(&vals) as usize]);
             }
+            linbuf.clear();
+            for l in &b.lin_vals {
+                linbuf.push(l.at(&vals));
+            }
+            let v = (b.func)(&ElemArgs {
+                reads: &readbuf,
+                lins: &linbuf,
+                scalars: &b.scalars,
+            });
+            ops += b.cost;
+            staged.push((b.lhs_off.at(&vals) as usize, v));
             // advance cartesian cursor (last var fastest)
             let mut d = lists.len();
             loop {
@@ -1791,50 +1762,49 @@ fn run_forall_rank(
             .as_bool();
         }
         if run {
-            for b in &f.body {
-                let v = eval_elem(
-                    prog,
-                    &b.rhs,
-                    &mut regs,
-                    &vars,
-                    scalars,
-                    &views,
-                    resolved,
-                    &seq_views,
-                    &mut counters,
-                    true,
-                    rank,
-                )?;
-                ops += b.cost;
-                subs_buf.clear();
-                for s in &b.subs {
-                    subs_buf.push(
-                        eval_elem(
-                            prog,
-                            s,
-                            &mut regs,
-                            &vars,
-                            scalars,
-                            &views,
-                            resolved,
-                            &seq_views,
-                            &mut counters,
-                            true,
-                            rank,
-                        )?
-                        .as_int(),
-                    );
+            let b = &f.body;
+            let v = eval_elem(
+                prog,
+                &b.rhs,
+                &mut regs,
+                &vars,
+                scalars,
+                &views,
+                resolved,
+                &seq_views,
+                &mut counters,
+                true,
+                rank,
+            )?;
+            ops += b.cost;
+            subs_buf.clear();
+            for s in &b.subs {
+                subs_buf.push(
+                    eval_elem(
+                        prog,
+                        s,
+                        &mut regs,
+                        &vars,
+                        scalars,
+                        &views,
+                        resolved,
+                        &seq_views,
+                        &mut counters,
+                        true,
+                        rank,
+                    )?
+                    .as_int(),
+                );
+            }
+            match b.scatter {
+                None => {
+                    let acc = resolved[b.lhs_acc.expect("owned write accessor") as usize]
+                        .as_ref()
+                        .expect("lhs accessor resolved");
+                    let off = acc.offset(&subs_buf, &prog.arrays[b.arr].name, rank)?;
+                    staged.push((off, v));
                 }
-                match b.scatter {
-                    None => {
-                        let acc = resolved[b.lhs_acc.expect("owned write accessor") as usize]
-                            .as_ref()
-                            .expect("lhs accessor resolved");
-                        let off = acc.offset(&subs_buf, &prog.arrays[b.arr].name, rank)?;
-                        staged.push((off, v));
-                    }
-                    Some(_) => scat.push((subs_buf.clone(), v)),
-                }
+                Some(_) => scat.push((subs_buf.clone(), v)),
             }
         }
         // advance cartesian cursor (last var fastest)
@@ -1854,12 +1824,11 @@ fn run_forall_rank(
     drop(views);
     drop(seq_views);
     // Blocking path: commit staged owned writes (RHS-before-LHS within
-    // the rank); the commit target follows the tree walker: the first
-    // body assignment's array (lowering rejects mixed-array owned
-    // bodies). Overlap phases return them uncommitted instead.
+    // the rank) into the body's array. Overlap phases return them
+    // uncommitted instead.
     if commit {
         if !staged.is_empty() {
-            let arr = mem.array_mut(&prog.arrays[f.body[0].arr].name);
+            let arr = mem.array_mut(&prog.arrays[f.body.arr].name);
             for (off, v) in staged {
                 arr.set_flat(off, v);
             }

@@ -1,35 +1,30 @@
 //! # f90d-vm — register-bytecode execution engine for SPMD node programs
 //!
-//! The tree-walking executor in `f90d-core` re-dispatches on the IR enum
-//! for every element of every FORALL on every node. This crate is the
-//! standard interpreter→bytecode step: the compiler lowers each node
-//! program once into a compact register bytecode ([`bytecode::VmProgram`])
-//! — flat instruction streams, resolved array/scalar/loop-variable slots,
-//! constant-folded affine subscript forms — and the [`engine::Engine`]
-//! runs it with a flat fetch/decode loop, charging the **same**
-//! virtual-time cost model as the tree walker, under both sequential and
-//! threaded local-phase execution.
+//! The compiler lowers each node program once into a compact register
+//! bytecode ([`bytecode::VmProgram`]) — flat instruction streams,
+//! resolved array/scalar/loop-variable slots, constant-folded affine
+//! subscript forms — and the [`engine::Engine`] runs it with a flat
+//! fetch/decode loop, charging the machine's virtual-time cost model,
+//! under both sequential and threaded local-phase execution.
 //!
 //! Layering: this crate sits beside the runtime — it depends on the
 //! machine, mapping, communication and runtime crates but *not* on the
 //! compiler. The lowering pass (tree IR → bytecode) lives in
-//! `f90d-core::vmlower`; selecting the backend happens through
-//! `CompileOptions::backend` there. FORALL communication — ghost
-//! exchanges, phase batching, the overlap split, schedule selection,
-//! quiescence — is *not* re-implemented here: the engine drives the
-//! shared `f90d_comm::driver` (plugging in element evaluation through
-//! its `ComputeSink` contract), exactly like the tree walker, so the
-//! two backends sequence communication from one code path.
+//! `f90d-core::vmlower`. FORALL communication — ghost exchanges, phase
+//! batching, the overlap split, schedule selection, quiescence — is
+//! *not* implemented here: the engine drives the shared
+//! `f90d_comm::driver`, plugging in element evaluation through its
+//! `ComputeSink` contract.
 //!
 //! * [`bytecode`] — instruction set, expression code, program tables.
-//! * [`engine`] — the execution engine (mirrors the tree walker's
-//!   `Executor` API: seed, run, gather, scalar inspection).
-//! * [`native`] — the third tier: FORALL superinstructions selected at
+//! * [`engine`] — the execution engine: seed, run, gather, scalar
+//!   inspection.
+//! * [`native`] — the native tier: FORALL superinstructions selected at
 //!   lowering time and monomorphized into prebuilt Rust closures; the
 //!   engine dispatches to them per execution and falls back to bytecode
 //!   when a kernel's preconditions fail.
-//! * [`ops`] — value-level operator semantics, shared with the tree
-//!   walker so the two backends cannot diverge.
+//! * [`ops`] — value-level operator semantics, shared with the
+//!   sequential reference interpreter.
 //! * [`cache`] — keyed program cache so repeated runs skip lowering.
 
 #![warn(missing_docs)]

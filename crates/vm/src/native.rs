@@ -1,18 +1,18 @@
 //! The native kernel tier: FORALL superinstructions compiled to
 //! monomorphized Rust closures at lowering time.
 //!
-//! This is the third execution tier (tree walk → bytecode → native).
-//! There is no run-time code generation: [`select`] runs once per
+//! This is the tier above the bytecode element loop. There is no
+//! run-time code generation: [`select`] runs once per
 //! lowered FORALL inside `f90d-core::vmlower`, symbolically evaluates
 //! the straight-line body over the register code, and — when every
 //! subscript is affine in the loop variables and every value is REAL
 //! arithmetic the closures can reproduce bit-for-bit — emits a
-//! [`NativeKernel`]: per-body element closures ([`ElemFn`]) plus the
+//! [`NativeKernel`]: the body's element closure ([`ElemFn`]) plus the
 //! affine read/write site descriptions the engine binds against each
 //! rank's resolved accessors at dispatch time.
 //!
-//! The contract is strict bit-identity with the bytecode engine (and
-//! therefore with the tree walker): same f64 operation tree in the same
+//! The contract is strict bit-identity with the bytecode engine: same
+//! f64 operation tree in the same
 //! association order, same integer→real promotion points, same staged
 //! RHS-before-LHS commit, and the same modelled element-operation cost.
 //! Anything the symbolic pass cannot prove equivalent — masks, gathers,
@@ -158,17 +158,17 @@ pub struct ElemArgs<'a> {
 pub type ElemFn = Arc<dyn Fn(&ElemArgs<'_>) -> f64 + Send + Sync>;
 
 /// One array read site: which accessor, and the affine global subscripts
-/// (still including any slab-dropped dimension, exactly as the bytecode
-/// `Read` would present them to `ResolvedAcc::offset`).
+/// exactly as the bytecode `Read` presents them to the engine (a slab
+/// read's fixed source dimension already removed by lowering).
 #[derive(Debug, Clone)]
 pub struct ReadSite {
     /// Accessor-table index.
     pub acc: u16,
-    /// Affine global subscripts, one per source dimension.
+    /// Affine global subscripts, one per dimension of the array read.
     pub subs: Vec<Lin>,
 }
 
-/// One compiled body assignment of a [`NativeKernel`].
+/// The compiled body assignment of a [`NativeKernel`].
 #[derive(Clone)]
 pub struct NativeBody {
     /// Which template matched (`"generic"` for composed closures) —
@@ -206,17 +206,17 @@ impl fmt::Debug for NativeBody {
     }
 }
 
-/// A FORALL compiled to the native tier: one [`NativeBody`] per body
-/// assignment, plus the loop-variable slots (outer to inner) the affine
-/// forms are expressed over.
+/// A FORALL compiled to the native tier: its [`NativeBody`], plus the
+/// loop-variable slots (outer to inner) the affine forms are expressed
+/// over.
 #[derive(Debug, Clone)]
 pub struct NativeKernel {
     /// Loop-variable slots of the FORALL, outer to inner — the dispatch
     /// binding maps [`Lin::vterms`] coefficients onto iteration-list
     /// positions through this table.
     pub var_slots: Vec<u16>,
-    /// Compiled bodies, in source order.
-    pub bodies: Vec<NativeBody>,
+    /// The compiled body assignment.
+    pub body: NativeBody,
 }
 
 // ---- selection (lowering-time symbolic evaluation) ---------------------
@@ -374,7 +374,7 @@ impl BodyCtx<'_> {
 }
 
 /// Try to compile a lowered FORALL to the native tier. Returns `None`
-/// when any body falls outside what the closures can reproduce
+/// when the body falls outside what the closures can reproduce
 /// bit-exactly; the bytecode element loop remains the executor then.
 pub fn select(
     f: &VmForall,
@@ -386,41 +386,39 @@ pub fn select(
     // Masks change which iterations execute (and charge mask cost);
     // gathers introduce sequential ReadSeq state; scatters leave the
     // rank. All are bytecode-only.
-    if f.mask.is_some() || !f.gathers.is_empty() || f.body.is_empty() {
+    let b = &f.body;
+    if f.mask.is_some() || !f.gathers.is_empty() || b.scatter.is_some() {
         return None;
     }
-    let mut bodies = Vec::with_capacity(f.body.len());
-    for b in &f.body {
-        if b.scatter.is_some() || b.arr != f.body[0].arr {
-            return None;
+    let lhs_acc = b.lhs_acc?;
+    if arrays[b.arr].ty != ElemType::Real {
+        return None;
+    }
+    let mut ctx = BodyCtx {
+        arrays,
+        scalars,
+        consts,
+        accessors,
+        reads: Vec::new(),
+        lins: Vec::new(),
+        scalar_slots: Vec::new(),
+    };
+    // RHS first (bytecode evaluation order), then the subscripts.
+    let rhs = ctx.eval_code(&b.rhs);
+    let Sym::Real(expr) = ctx.promote_real(rhs) else {
+        return None;
+    };
+    let mut lhs_subs = Vec::with_capacity(b.subs.len());
+    for s in &b.subs {
+        match ctx.eval_code(s) {
+            Sym::Int(lin) => lhs_subs.push(lin),
+            _ => return None,
         }
-        let lhs_acc = b.lhs_acc?;
-        if arrays[b.arr].ty != ElemType::Real {
-            return None;
-        }
-        let mut ctx = BodyCtx {
-            arrays,
-            scalars,
-            consts,
-            accessors,
-            reads: Vec::new(),
-            lins: Vec::new(),
-            scalar_slots: Vec::new(),
-        };
-        // RHS first (bytecode evaluation order), then the subscripts.
-        let rhs = ctx.eval_code(&b.rhs);
-        let Sym::Real(expr) = ctx.promote_real(rhs) else {
-            return None;
-        };
-        let mut lhs_subs = Vec::with_capacity(b.subs.len());
-        for s in &b.subs {
-            match ctx.eval_code(s) {
-                Sym::Int(lin) => lhs_subs.push(lin),
-                _ => return None,
-            }
-        }
-        let (template, func) = match_template(&expr);
-        bodies.push(NativeBody {
+    }
+    let (template, func) = match_template(&expr);
+    Some(NativeKernel {
+        var_slots: f.vars.iter().map(|s| s.var).collect(),
+        body: NativeBody {
             template,
             func,
             reads: ctx.reads,
@@ -429,11 +427,7 @@ pub fn select(
             lhs_acc,
             lhs_subs,
             cost: b.cost,
-        });
-    }
-    Some(NativeKernel {
-        var_slots: f.vars.iter().map(|s| s.var).collect(),
-        bodies,
+        },
     })
 }
 

@@ -1,8 +1,8 @@
-//! Value-level operator semantics shared by every executor.
+//! Value-level operator semantics shared by every interpreter.
 //!
-//! Both the tree-walking interpreter (`f90d-core::exec`) and the bytecode
-//! engine in this crate evaluate scalar operations through these
-//! functions, so the two backends cannot drift apart on promotion,
+//! Both the bytecode engine in this crate and the sequential reference
+//! interpreter (`f90d-core::reference`) evaluate scalar operations
+//! through these functions, so they cannot drift apart on promotion,
 //! division, or intrinsic edge cases.
 
 use f90d_frontend::ast::{BinOp, UnOp};
@@ -192,7 +192,8 @@ pub fn eval_intrin(f: Intrin, args: &[Value]) -> OpResult {
     }
 }
 
-/// Apply an elemental intrinsic by name (tree-walker entry point).
+/// Apply an elemental intrinsic by name (reference-interpreter entry
+/// point).
 pub fn eval_elemental(name: &str, args: &[Value]) -> OpResult {
     match Intrin::from_name(name) {
         Some(f) => eval_intrin(f, args),

@@ -9,7 +9,7 @@
 //! ```
 
 use f90d_bench::workloads;
-use fortran90d::compiler::{compile, CompileOptions, Executor};
+use fortran90d::compiler::{compile, CompileOptions};
 use fortran90d::distrib::ProcGrid;
 use fortran90d::machine::{Machine, MachineSpec};
 
@@ -24,8 +24,8 @@ fn main() {
     }
 
     let mut machine = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[8]));
-    let mut ex = Executor::new(&compiled.spmd, &mut machine);
-    let report = ex.run(&mut machine).expect("runs");
+    let mut engine = compiled.engine(&mut machine).expect("lowers");
+    let report = engine.run(&mut machine).expect("runs");
     println!(
         "\nbutterfly on 8 nodes: {:.3} ms modelled, {} messages",
         report.elapsed * 1e3,
@@ -36,7 +36,7 @@ fn main() {
     let reference =
         fortran90d::compiler::reference::run_reference(&compiled.analyzed, &Default::default())
             .expect("reference");
-    let got = ex.gather_array(&mut machine, "X").expect("X exists");
+    let got = engine.gather_array(&mut machine, "X").expect("X exists");
     let want = &reference.arrays["X"];
     for k in [0usize, 7, 63, 127] {
         assert_eq!(got.get(k), want.data.get(k), "X[{k}]");

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use fortran90d::compiler::{compile, CompileOptions, Executor};
+use fortran90d::compiler::{compile, CompileOptions};
 use fortran90d::distrib::ProcGrid;
 use fortran90d::machine::{Machine, MachineSpec};
 
@@ -43,8 +43,7 @@ fn main() {
 
     // 3. Execute on a simulated 4-node iPSC/860.
     let mut machine = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4]));
-    let mut ex = Executor::new(&compiled.spmd, &mut machine);
-    let report = ex.run(&mut machine).expect("runs");
+    let report = compiled.run_on(&mut machine).expect("runs");
 
     println!("---- execution ----");
     for line in &report.printed {
@@ -62,18 +61,18 @@ fn main() {
         machine.stats.sorted()
     );
 
-    // 4. The same program on the register-bytecode backend: identical
-    //    modelled time and results, several times lower host wall-clock
-    //    (see `cargo bench -p f90d-bench --bench vm_vs_treewalk`).
-    use fortran90d::compiler::Backend;
-    let compiled_vm =
-        compile(SRC, &CompileOptions::default().with_backend(Backend::Vm)).expect("compiles");
-    let mut machine_vm = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4]));
-    let report_vm = compiled_vm.run_on(&mut machine_vm).expect("vm runs");
+    // 4. The same program with the native kernel tier off (every FORALL
+    //    on the bytecode element loop): identical modelled time and
+    //    results, higher host wall-clock (see `repro --exp vmcmp`).
+    let mut opts = CompileOptions::default();
+    opts.opt.native_kernels = false;
+    let compiled_bc = compile(SRC, &opts).expect("compiles");
+    let mut machine_bc = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4]));
+    let report_bc = compiled_bc.run_on(&mut machine_bc).expect("bytecode runs");
     println!(
-        "vm backend: {:.3} ms modelled (identical: {}), bytecode: {}",
-        report_vm.elapsed * 1e3,
-        report_vm.elapsed == report.elapsed,
-        compiled_vm.vm_program().expect("lowers").summary()
+        "bytecode tier: {:.3} ms modelled (identical: {}), bytecode: {}",
+        report_bc.elapsed * 1e3,
+        report_bc.elapsed == report.elapsed,
+        compiled_bc.vm_program().expect("lowers").summary()
     );
 }

@@ -14,14 +14,13 @@
 //! * [`frontend`] — Fortran 90D/HPF lexer, parser, semantic analysis, and
 //!   normalization to FORALL form.
 //! * [`compiler`] — the compiler itself: partitioning, communication
-//!   detection/generation, optimizations, SPMD code generation, and the
-//!   loosely synchronous executor.
-//! * [`vm`] — the register-bytecode execution engine
-//!   (`CompileOptions::backend = Backend::Vm`): same results and virtual
-//!   times as the tree walker, several times lower host wall-clock.
+//!   detection/generation, optimizations, SPMD code generation, and
+//!   lowering to bytecode.
+//! * [`vm`] — the loosely synchronous execution engine: register
+//!   bytecode plus a native kernel tier.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
-//! the system inventory and the paper-reproduction index.
+//! See `README.md` for a quickstart and the paper-reproduction index, and
+//! `ARCHITECTURE.md` for the pipeline and the execution tiers.
 
 pub use f90d_comm as comm;
 pub use f90d_core as compiler;

@@ -4,15 +4,17 @@
 //! uses.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use f90d_bench::experiments;
 use f90d_bench::handwritten::{ge_handwritten, ge_reference_host};
 use f90d_bench::workloads;
 use fortran90d::compiler::reference::run_reference;
-use fortran90d::compiler::{compile, CompileOptions, Executor};
+use fortran90d::compiler::{compile, ir, vmlower, CompileOptions};
 use fortran90d::distrib::{DistKind, ProcGrid};
 use fortran90d::machine::{Machine, MachineSpec};
 use fortran90d::runtime::DistArray;
+use fortran90d::vm::Engine;
 
 fn run_compiled(
     src: &str,
@@ -25,8 +27,7 @@ fn run_compiled(
 ) {
     let compiled = compile(src, &CompileOptions::on_grid(grid)).expect("compiles");
     let mut m = Machine::new(spec, ProcGrid::new(grid));
-    let mut ex = Executor::new(&compiled.spmd, &mut m);
-    let report = ex.run(&mut m).expect("runs");
+    let report = compiled.run_on(&mut m).expect("runs");
     (m, report, compiled)
 }
 
@@ -37,9 +38,9 @@ fn compiled_gaussian_matches_host_elimination() {
     for p in [1i64, 2, 4, 8] {
         let compiled = compile(&workloads::gaussian(n), &CompileOptions::on_grid(&[p])).unwrap();
         let mut m = Machine::new(MachineSpec::ideal(), ProcGrid::new(&[p]));
-        let mut ex = Executor::new(&compiled.spmd, &mut m);
-        ex.run(&mut m).unwrap();
-        let got = ex.gather_array(&mut m, "A").unwrap();
+        let mut eng = compiled.engine(&mut m).unwrap();
+        eng.run(&mut m).unwrap();
+        let got = eng.gather_array(&mut m, "A").unwrap();
         for (k, &w) in want.iter().enumerate() {
             let g = got.get(k).as_real();
             let (i, j) = (k as i64 / n, k as i64 % n);
@@ -59,9 +60,9 @@ fn compiled_and_handwritten_ge_agree() {
     for p in [2i64, 4] {
         let compiled = compile(&workloads::gaussian(n), &CompileOptions::on_grid(&[p])).unwrap();
         let mut m = Machine::new(MachineSpec::ideal(), ProcGrid::new(&[p]));
-        let mut ex = Executor::new(&compiled.spmd, &mut m);
-        ex.run(&mut m).unwrap();
-        let compiled_a = ex.gather_array(&mut m, "A").unwrap();
+        let mut eng = compiled.engine(&mut m).unwrap();
+        eng.run(&mut m).unwrap();
+        let compiled_a = eng.gather_array(&mut m, "A").unwrap();
 
         let mut m2 = Machine::new(MachineSpec::ideal(), ProcGrid::new(&[p]));
         ge_handwritten(&mut m2, n);
@@ -152,8 +153,6 @@ fn jacobi_compiled_vs_reference_on_real_machine_model() {
     )
     .unwrap();
     let (mut m, _, compiled) = run_compiled(&src, &[2, 2], MachineSpec::ncube2());
-    let mut ex = Executor::new_preserving(&compiled.spmd, &mut m);
-    let _ = &mut ex;
     // Re-gather from the finished machine via a fresh handle.
     let id = compiled.spmd.array_id("B").unwrap();
     let handle = DistArray {
@@ -200,16 +199,14 @@ END
 
 #[test]
 fn vm_backend_through_the_facade_matches_host_elimination() {
-    use fortran90d::compiler::Backend;
     let n = 32i64;
     let want = ge_reference_host(n);
-    let opts = CompileOptions::on_grid(&[4]).with_backend(Backend::Vm);
-    let compiled = compile(&workloads::gaussian(n), &opts).unwrap();
+    let compiled = compile(&workloads::gaussian(n), &CompileOptions::on_grid(&[4])).unwrap();
     let mut m = Machine::new(MachineSpec::ideal(), ProcGrid::new(&[4]));
     let report = compiled.run_on(&mut m).expect("vm backend runs");
     assert!(report.elapsed > 0.0);
     let prog = compiled.vm_program().unwrap();
-    let eng = fortran90d::vm::Engine::new_preserving(prog, &mut m);
+    let eng = Engine::new_preserving(prog, &mut m);
     let got = eng.gather_array(&mut m, "A").unwrap();
     for (k, &w) in want.iter().enumerate() {
         let g = got.get(k).as_real();
@@ -221,19 +218,32 @@ fn vm_backend_through_the_facade_matches_host_elimination() {
 }
 
 #[test]
-fn vm_backend_experiment_runners_agree_with_treewalk() {
-    use fortran90d::compiler::Backend;
-    let t_tree = experiments::ge_compiled_time_backend(
-        48,
-        4,
-        &MachineSpec::ipsc860(),
-        true,
-        Backend::TreeWalk,
-    );
-    let t_vm =
-        experiments::ge_compiled_time_backend(48, 4, &MachineSpec::ipsc860(), true, Backend::Vm);
+fn experiment_runners_agree_with_the_bytecode_tier() {
+    // The experiment runner times the elimination on the native tier;
+    // the same init/elimination split on the bytecode tier alone must
+    // model exactly the same time.
+    let spec = MachineSpec::ipsc860();
+    let t_native = experiments::ge_compiled_time(48, 4, &spec, true);
+    let compiled = compile(&workloads::gaussian(48), &CompileOptions::on_grid(&[4])).unwrap();
+    let bytecode = |stmts: &[ir::SStmt]| {
+        let prog = ir::SProgram {
+            stmts: stmts.to_vec(),
+            ..compiled.spmd.clone()
+        };
+        let lowered = vmlower::lower_with(&prog, false).unwrap();
+        assert!(lowered.natives.is_empty(), "native tier must be off");
+        Arc::new(lowered)
+    };
+    let (init, elim) = compiled.spmd.stmts.split_at(2);
+    let mut m = Machine::new(spec, ProcGrid::new(&[4]));
+    Engine::new(bytecode(init), &mut m).run(&mut m).unwrap();
+    m.reset_time();
+    Engine::new_preserving(bytecode(elim), &mut m)
+        .run(&mut m)
+        .unwrap();
     assert_eq!(
-        t_tree, t_vm,
-        "modelled elimination time must not depend on the backend"
+        t_native.to_bits(),
+        m.elapsed().to_bits(),
+        "modelled elimination time must not depend on the execution tier"
     );
 }
