@@ -4,18 +4,10 @@
 //! the inspector only *within* one execution; every fresh
 //! `Compiled::run_on`, every matrix cell and every long-running service
 //! request used to rebuild the same PARTI schedules from scratch. This
-//! module is the process-wide complement, modelled on the VM program
-//! cache (`f90d_vm::cache`):
-//!
-//! * **sharded** — concurrent harness workers contend only on the shard
-//!   owning their key;
-//! * **per-key slot locks** — N workers racing one cold key perform
-//!   exactly one build; the rest block on the slot (not the shard) and
-//!   observe a hit; builds of different keys proceed fully in parallel;
-//! * **full-pattern keys** — a [`SchedKey`] is the `(ScheduleKind, grid
-//!   shape, complete request list)` triple, compared by *equality*, never
-//!   by `Schedule::signature()` alone: the signature is a 64-bit hash and
-//!   can collide, so it is only ever used to pick a shard.
+//! module is the process-wide complement: a [`KeyedCache`] keyed by the
+//! full [`SchedKey`] — the `(ScheduleKind, grid shape, complete request
+//! list)` triple, compared by *equality*, never by `Schedule::signature()`
+//! alone (a 64-bit hash that can collide).
 //!
 //! What a hit skips is the **wall-clock** rebuild of the move table. The
 //! modelled inspector cost ([`schedule::inspect`]) is charged on every
@@ -25,30 +17,22 @@
 //! valid.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
-use f90d_machine::Machine;
+use f90d_machine::{KeyedCache, Machine};
 
 use crate::op::CommResult;
 use crate::schedule::{self, ElementReq, Schedule, ScheduleKind};
 
-/// Shard count. A small power of two: a workload set caches tens of
-/// schedules, so this bounds contention, not capacity.
-const SHARDS: usize = 16;
-
-/// Capacity cap per shard (so 1024 entries process-wide). A key retains
-/// its full request pattern plus the built move table, so an unbounded
-/// map would grow without limit in a long-running service executing
-/// data-dependent patterns; past the cap an arbitrary finished entry is
-/// evicted (benchmark working sets are tens of keys — the cap is a
-/// memory safety valve, not an LRU policy).
-const MAX_PER_SHARD: usize = 64;
+/// Schedules the [`global`] cache holds. A key retains its full request
+/// pattern plus the built move table, so a long-running service
+/// executing data-dependent patterns needs the bound; benchmark working
+/// sets are tens of keys.
+pub const SCHED_CACHE_CAP: usize = 1024;
 
 /// The full identity of a communication schedule: inspector family, the
 /// logical grid it was built for, and the complete element-request
-/// pattern. Two keys are the same schedule iff they are `==` — the
-/// hash ([`pattern_hash`]) only routes to a shard.
+/// pattern. Two keys are the same schedule iff they are `==`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SchedKey {
     /// Which inspector family builds this schedule.
@@ -59,163 +43,13 @@ pub struct SchedKey {
     pub reqs: Vec<ElementReq>,
 }
 
-/// FNV-1a over the key structure — the workspace's standard cache-key
-/// hash, used **only** to choose a shard. It can collide (the collision
-/// regression test engineers one); the shard map stores full [`SchedKey`]s
-/// so colliding patterns still get distinct slots.
-pub fn pattern_hash(key: &SchedKey) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    mix(key.kind as u64);
-    mix(key.grid.len() as u64);
-    for &d in &key.grid {
-        mix(d as u64);
-    }
-    mix(key.reqs.len() as u64);
-    for r in &key.reqs {
-        mix(r.requester as u64);
-        mix(r.owner as u64);
-        mix(r.src_off as u64);
-        mix(r.dst_off as u64);
-    }
-    h
-}
-
-/// Per-key slot: the built schedule, `None` while cold.
-#[derive(Default)]
-struct Slot {
-    sched: Mutex<Option<Arc<Schedule>>>,
-}
-
-/// A sharded concurrent [`SchedKey`] → `Arc<Schedule>` map with hit/miss
-/// counters. Shared by every harness worker (`Send + Sync`).
-pub struct SchedCache {
-    shards: Vec<Mutex<HashMap<SchedKey, Arc<Slot>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for SchedCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SchedCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        SchedCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &SchedKey) -> &Mutex<HashMap<SchedKey, Arc<Slot>>> {
-        &self.shards[(pattern_hash(key) % SHARDS as u64) as usize]
-    }
-
-    /// Lock, recovering from poison: `build` runs inspector code under
-    /// the slot lock, and a panic there must surface once — not cascade
-    /// as `PoisonError` panics in every other worker of that key. A
-    /// poisoned slot still holds `None`, so the next caller of *that* key
-    /// simply retries the build; every other key is untouched.
-    fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-        lock.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Look up `key`, building with `build` on a miss. Returns the shared
-    /// schedule and whether this call was a hit. Concurrent callers of
-    /// the same key block on the per-key slot until the one build
-    /// finishes, then all share it.
-    pub fn get_or_build(
-        &self,
-        key: &SchedKey,
-        build: impl FnOnce() -> Schedule,
-    ) -> (Arc<Schedule>, bool) {
-        let slot = {
-            let mut map = Self::recover(self.shard(key));
-            if let Some(slot) = map.get(key) {
-                slot.clone()
-            } else {
-                if map.len() >= MAX_PER_SHARD {
-                    // Evict an arbitrary *finished* entry (never a slot
-                    // some worker is still building — its key must stay
-                    // reachable so racers keep converging on one build).
-                    let victim = map
-                        .iter()
-                        .find(|(_, s)| s.sched.try_lock().map(|g| g.is_some()).unwrap_or(false))
-                        .map(|(k, _)| k.clone());
-                    if let Some(k) = victim {
-                        map.remove(&k);
-                    }
-                }
-                let slot = Arc::new(Slot::default());
-                map.insert(key.clone(), slot.clone());
-                slot
-            }
-        };
-        // Shard lock released: the build below serializes only callers of
-        // this key.
-        let mut sched = Self::recover(&slot.sched);
-        if let Some(s) = sched.as_ref() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (s.clone(), true);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let s = Arc::new(build());
-        *sched = Some(s.clone());
-        (s, false)
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (inspector builds performed) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached schedules (slots holding a finished build).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                // Snapshot the slots, then release the shard lock before
-                // touching any slot mutex: a slot may be mid-build, and
-                // holding the shard lock while waiting on it would stall
-                // lookups of every other key in the shard.
-                let slots: Vec<Arc<Slot>> = Self::recover(s).values().cloned().collect();
-                slots
-                    .iter()
-                    .filter(|slot| Self::recover(&slot.sched).is_some())
-                    .count()
-            })
-            .sum()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every cached schedule (tests).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            Self::recover(s).clear();
-        }
-    }
-}
+/// The process-wide [`SchedKey`] → [`Schedule`] cache.
+pub type SchedCache = KeyedCache<SchedKey, Schedule>;
 
 /// The process-wide schedule cache shared by every engine run.
 pub fn global() -> &'static SchedCache {
     static CACHE: OnceLock<SchedCache> = OnceLock::new();
-    CACHE.get_or_init(SchedCache::new)
+    CACHE.get_or_init(|| KeyedCache::new(SCHED_CACHE_CAP))
 }
 
 /// Per-run front end over the caches: owns the §7(3) within-run reuse
@@ -319,8 +153,6 @@ impl RunSchedules {
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SchedCache>();
-    assert_send_sync::<Arc<Schedule>>();
-    assert_send_sync::<SchedKey>();
 };
 
 #[cfg(test)]
@@ -336,84 +168,32 @@ mod tests {
         }
     }
 
-    fn key(kind: ScheduleKind, reqs: Vec<ElementReq>) -> SchedKey {
-        SchedKey {
+    #[test]
+    fn kind_grid_and_pattern_are_part_of_the_key() {
+        let c = SchedCache::new(SCHED_CACHE_CAP);
+        let key = |kind, grid: Vec<i64>, src_off| SchedKey {
             kind,
-            grid: vec![4],
-            reqs,
-        }
-    }
-
-    #[test]
-    fn hit_returns_same_schedule() {
-        let c = SchedCache::new();
-        let k = key(ScheduleKind::FanInRequests, vec![req(0, 1, 2, 0)]);
-        let (a, hit_a) = c.get_or_build(&k, || schedule::build_schedule(k.kind, &k.reqs));
-        let (b, hit_b) = c.get_or_build(&k, || panic!("must not rebuild"));
-        assert!(!hit_a);
-        assert!(hit_b);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((c.hits(), c.misses(), c.len()), (1, 1, 1));
-    }
-
-    #[test]
-    fn distinct_patterns_get_distinct_slots() {
-        let c = SchedCache::new();
-        let ka = key(ScheduleKind::LocalOnly, vec![req(0, 1, 0, 0)]);
-        let kb = key(ScheduleKind::LocalOnly, vec![req(0, 1, 1, 0)]);
-        let (a, _) = c.get_or_build(&ka, || schedule::build_schedule(ka.kind, &ka.reqs));
-        let (b, _) = c.get_or_build(&kb, || schedule::build_schedule(kb.kind, &kb.reqs));
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.misses(), 2);
-    }
-
-    #[test]
-    fn kind_and_grid_are_part_of_the_key() {
-        let c = SchedCache::new();
-        let reqs = vec![req(0, 1, 3, 0)];
-        let k1 = key(ScheduleKind::LocalOnly, reqs.clone());
-        let k2 = key(ScheduleKind::FanInRequests, reqs.clone());
-        let k3 = SchedKey {
-            kind: ScheduleKind::LocalOnly,
-            grid: vec![2, 2],
-            reqs,
+            grid,
+            reqs: vec![req(0, 1, src_off, 0)],
         };
-        for k in [&k1, &k2, &k3] {
-            c.get_or_build(k, || schedule::build_schedule(k.kind, &k.reqs));
-        }
-        assert_eq!(c.len(), 3, "kind and grid must separate entries");
-    }
-
-    #[test]
-    fn capacity_cap_bounds_the_cache() {
-        let c = SchedCache::new();
-        let total = SHARDS * MAX_PER_SHARD;
-        for i in 0..3 * total {
-            let k = key(ScheduleKind::LocalOnly, vec![req(0, 1, i, 0)]);
-            c.get_or_build(&k, || schedule::build_schedule(k.kind, &k.reqs));
-        }
-        assert!(
-            c.len() <= total,
-            "{} entries exceed the cap {total}",
-            c.len()
-        );
-        assert_eq!(c.misses(), 3 * total as u64, "every distinct key built");
-        // An evicted key is simply rebuilt on next use — still correct.
-        let k = key(ScheduleKind::LocalOnly, vec![req(0, 1, 0, 0)]);
-        let (s, _) = c.get_or_build(&k, || schedule::build_schedule(k.kind, &k.reqs));
-        assert_eq!(s.kind(), ScheduleKind::LocalOnly);
-    }
-
-    #[test]
-    fn clear_empties_every_shard() {
-        let c = SchedCache::new();
-        for i in 0..64 {
-            let k = key(ScheduleKind::LocalOnly, vec![req(0, 1, i, 0)]);
-            c.get_or_build(&k, || schedule::build_schedule(k.kind, &k.reqs));
-        }
-        assert_eq!(c.len(), 64);
-        c.clear();
-        assert!(c.is_empty());
+        let keys = [
+            key(ScheduleKind::LocalOnly, vec![4], 3),
+            key(ScheduleKind::FanInRequests, vec![4], 3),
+            key(ScheduleKind::LocalOnly, vec![2, 2], 3),
+            key(ScheduleKind::LocalOnly, vec![4], 4),
+        ];
+        let built: Vec<_> = keys
+            .iter()
+            .map(|k| {
+                c.get_or_build(k, || schedule::build_schedule(k.kind, &k.reqs))
+                    .0
+            })
+            .collect();
+        assert_eq!(c.len(), 4, "kind, grid and pattern must separate entries");
+        assert!(!Arc::ptr_eq(&built[0], &built[3]));
+        assert_eq!(built[1].kind(), ScheduleKind::FanInRequests);
+        let (again, hit) = c.get_or_build(&keys[0], || panic!("must not rebuild"));
+        assert!(hit);
+        assert!(Arc::ptr_eq(&built[0], &again));
     }
 }

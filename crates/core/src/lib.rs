@@ -61,9 +61,9 @@ pub mod vmlower;
 use std::sync::{Arc, OnceLock};
 
 use f90d_frontend::sema::AnalyzedProgram;
-use f90d_machine::Machine;
+use f90d_machine::{KeyedCache, Machine};
 use f90d_vm::cache::fnv1a;
-use f90d_vm::{Engine, ProgramCache, VmProgram};
+use f90d_vm::{Engine, VmProgram};
 
 pub use f90d_vm::{RunReport as ExecReport, VmError as ExecError};
 pub use options::{Backend, CompileOptions, OptFlags};
@@ -79,7 +79,7 @@ pub struct Compiled {
     /// The options it was compiled with.
     pub options: CompileOptions,
     /// Hash of the source text — with the options and grid it keys the
-    /// bytecode program cache.
+    /// bytecode program cache ([`ProgramKey`]).
     pub source_hash: u64,
 }
 
@@ -168,7 +168,7 @@ impl Compiled {
     }
 
     /// The lowered bytecode program, via the global cache keyed by
-    /// (source hash, options, grid): repeated runs skip lowering.
+    /// [`ProgramKey`]: repeated runs skip lowering.
     pub fn vm_program(&self) -> Result<Arc<VmProgram>, String> {
         self.vm_program_traced().map(|(p, _)| p)
     }
@@ -176,42 +176,14 @@ impl Compiled {
     /// [`Compiled::vm_program`] that also reports whether the lookup was
     /// a cache hit.
     pub fn vm_program_traced(&self) -> Result<(Arc<VmProgram>, bool), String> {
-        vm_cache().get_or_lower_traced(self.vm_cache_key(), || {
+        let key = (
+            self.source_hash,
+            self.options.opt.clone(),
+            self.spmd.grid_shape.clone(),
+        );
+        vm_cache().get_or_try_build(&key, || {
             vmlower::lower_with(&self.spmd, self.options.opt.native_kernels)
         })
-    }
-
-    fn vm_cache_key(&self) -> u64 {
-        // Exhaustive destructuring: adding an OptFlags field without
-        // extending the cache key is a compile error, not a silent
-        // cross-configuration cache hit.
-        let OptFlags {
-            merge_comm,
-            schedule_reuse,
-            fuse_multicast_shift,
-            hoist_invariant_comm,
-            overlap_shift,
-            comm_compute_overlap,
-            comm_plan,
-            native_kernels,
-        } = self.options.opt;
-        let mut bytes = self.source_hash.to_le_bytes().to_vec();
-        for flag in [
-            merge_comm,
-            schedule_reuse,
-            fuse_multicast_shift,
-            hoist_invariant_comm,
-            overlap_shift,
-            comm_compute_overlap,
-            comm_plan,
-            native_kernels,
-        ] {
-            bytes.push(flag as u8);
-        }
-        for e in &self.spmd.grid_shape {
-            bytes.extend_from_slice(&e.to_le_bytes());
-        }
-        fnv1a(&bytes)
     }
 
     /// Render the generated node program as Fortran 77 + MP text.
@@ -220,10 +192,22 @@ impl Compiled {
     }
 }
 
+/// Identity of a bytecode lowering: (source hash, optimization flags,
+/// grid shape). Every field is compared by equality, and a new
+/// [`OptFlags`] field joins the key through its derived `Hash`/`Eq`.
+pub type ProgramKey = (u64, OptFlags, Vec<i64>);
+
+/// The process-wide bytecode program cache.
+pub type ProgramCache = KeyedCache<ProgramKey, VmProgram>;
+
+/// Programs the [`vm_cache`] holds (about 20 KB each): a long-running
+/// daemon compiling novel programs must not grow without bound.
+pub const PROGRAM_CACHE_CAP: usize = 1024;
+
 /// The process-wide bytecode program cache.
 pub fn vm_cache() -> &'static ProgramCache {
     static CACHE: OnceLock<ProgramCache> = OnceLock::new();
-    CACHE.get_or_init(ProgramCache::new)
+    CACHE.get_or_init(|| KeyedCache::new(PROGRAM_CACHE_CAP))
 }
 
 // The parallel repro harness compiles once and runs the same `Compiled`

@@ -284,7 +284,11 @@ fn resolve_directives(unit: &Unit, info: &mut UnitInfo) -> SResult<()> {
     let mut templates: HashMap<String, Vec<i64>> = HashMap::new();
     for (name, shape) in &dirs.templates {
         let s: SResult<Vec<i64>> = shape.iter().map(|e| const_eval(e, &info.params)).collect();
-        templates.insert(name.clone(), s?);
+        let s = s?;
+        if let Some(e) = s.iter().find(|&&e| e <= 0) {
+            return err(format!("TEMPLATE `{name}` has non-positive extent {e}"));
+        }
+        templates.insert(name.clone(), s);
     }
     // ALIGN directives; arrays distributed without an explicit ALIGN get
     // identity alignment to a template named after themselves.
@@ -557,6 +561,14 @@ fn check_stmts(stmts: &[Stmt], info: &UnitInfo, loop_vars: &mut Vec<String>) -> 
             Stmt::Assign { lhs, rhs } => {
                 check_lhs(lhs, info, loop_vars)?;
                 check_expr(rhs, info, loop_vars)?;
+                if let (Some(to), Some(from)) = (declared_ty(&lhs.name, info), expr_ty(rhs, info)) {
+                    if (to == Ty::Logical) != (from == Ty::Logical) {
+                        return err(format!(
+                            "assignment of {from} to {to} `{}` in `{}`",
+                            lhs.name, info.name
+                        ));
+                    }
+                }
             }
             Stmt::Forall {
                 indices,
@@ -572,6 +584,7 @@ fn check_stmts(stmts: &[Stmt], info: &UnitInfo, loop_vars: &mut Vec<String>) -> 
                 inner.extend(indices.iter().map(|i| i.var.clone()));
                 if let Some(mk) = mask {
                     check_expr(mk, info, &inner)?;
+                    check_logical("FORALL mask", mk, info)?;
                 }
                 check_stmts(body, info, &mut inner)?;
             }
@@ -581,6 +594,7 @@ fn check_stmts(stmts: &[Stmt], info: &UnitInfo, loop_vars: &mut Vec<String>) -> 
                 elsewhere,
             } => {
                 check_expr(mask, info, loop_vars)?;
+                check_logical("WHERE mask", mask, info)?;
                 check_stmts(then, info, loop_vars)?;
                 check_stmts(elsewhere, info, loop_vars)?;
             }
@@ -603,6 +617,7 @@ fn check_stmts(stmts: &[Stmt], info: &UnitInfo, loop_vars: &mut Vec<String>) -> 
             }
             Stmt::If { cond, then, else_ } => {
                 check_expr(cond, info, loop_vars)?;
+                check_logical("IF condition", cond, info)?;
                 check_stmts(then, info, loop_vars)?;
                 check_stmts(else_, info, loop_vars)?;
             }
@@ -632,6 +647,61 @@ fn check_stmts(stmts: &[Stmt], info: &UnitInfo, loop_vars: &mut Vec<String>) -> 
         }
     }
     Ok(())
+}
+
+/// Reject a condition, mask or logical operand whose type is known and
+/// not LOGICAL (the executor would otherwise fail at run time).
+fn check_logical(what: &str, e: &Expr, info: &UnitInfo) -> SResult<()> {
+    match expr_ty(e, info) {
+        Some(ty) if ty != Ty::Logical => err(format!(
+            "{what} in `{}` is {ty}, must be LOGICAL",
+            info.name
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// The declared type of a scalar or array name.
+fn declared_ty(name: &str, info: &UnitInfo) -> Option<Ty> {
+    info.scalars
+        .get(name)
+        .copied()
+        .or(info.arrays.get(name).map(|a| a.ty))
+}
+
+/// The type of a reference-checked expression, where it is known: names
+/// not declared in `info` are loop indices (INTEGER), intrinsics return
+/// LOGICAL/INTEGER/REAL by name or else follow their first argument.
+/// `None` for character literals and intrinsics without arguments.
+fn expr_ty(e: &Expr, info: &UnitInfo) -> Option<Ty> {
+    let first_arg = |subs: &[Subscript]| match subs.first() {
+        Some(Subscript::Index(a)) => expr_ty(a, info),
+        _ => None,
+    };
+    match e {
+        Expr::Int(_) => Some(Ty::Integer),
+        Expr::Real(_) => Some(Ty::Real),
+        Expr::Logical(_) => Some(Ty::Logical),
+        Expr::Str(_) => None,
+        Expr::Var(n) => Some(declared_ty(n, info).unwrap_or(Ty::Integer)),
+        Expr::Ref(name, subs) => match (info.arrays.get(name), name.as_str()) {
+            (Some(a), _) => Some(a.ty),
+            (None, "ALL" | "ANY") => Some(Ty::Logical),
+            (None, "COUNT" | "MAXLOC" | "MINLOC" | "INT" | "NINT") => Some(Ty::Integer),
+            (None, "REAL" | "FLOAT" | "DBLE" | "SQRT" | "EXP" | "LOG" | "SIN" | "COS" | "TAN") => {
+                Some(Ty::Real)
+            }
+            (None, _) => first_arg(subs),
+        },
+        Expr::Bin(op, _, _) if op.is_comparison() || op.is_logical() => Some(Ty::Logical),
+        Expr::Bin(_, l, r) => match (expr_ty(l, info)?, expr_ty(r, info)?) {
+            (Ty::Complex, _) | (_, Ty::Complex) => Some(Ty::Complex),
+            (Ty::Real, _) | (_, Ty::Real) => Some(Ty::Real),
+            (l, _) => Some(l),
+        },
+        Expr::Un(UnOp::Not, _) => Some(Ty::Logical),
+        Expr::Un(UnOp::Neg, x) => expr_ty(x, info),
+    }
 }
 
 fn check_lhs(lhs: &LhsRef, info: &UnitInfo, loop_vars: &[String]) -> SResult<()> {
@@ -705,11 +775,22 @@ fn check_expr(e: &Expr, info: &UnitInfo, loop_vars: &[String]) -> SResult<()> {
             }
             Ok(())
         }
-        Expr::Bin(_, l, r) => {
+        Expr::Bin(op, l, r) => {
             check_expr(l, info, loop_vars)?;
-            check_expr(r, info, loop_vars)
+            check_expr(r, info, loop_vars)?;
+            if op.is_logical() {
+                check_logical(".AND./.OR. operand", l, info)?;
+                check_logical(".AND./.OR. operand", r, info)?;
+            }
+            Ok(())
         }
-        Expr::Un(_, x) => check_expr(x, info, loop_vars),
+        Expr::Un(op, x) => {
+            check_expr(x, info, loop_vars)?;
+            if *op == UnOp::Not {
+                check_logical(".NOT. operand", x, info)?;
+            }
+            Ok(())
+        }
     }
 }
 
@@ -855,6 +936,58 @@ mod tests {
         );
         assert!(analyze_src("PROGRAM T\nCALL NOPE()\nEND\n").is_err()); // unknown sub
         assert!(analyze_src("PROGRAM T\nREAL A(4)\nB = UNKNOWNFN(A)\nEND\n").is_err());
+    }
+
+    #[test]
+    fn logical_type_mismatches_and_bad_templates_are_rejected() {
+        for (src, want) in [
+            (
+                "PROGRAM T\nREAL A(4)\nIF (1) THEN\nA(1) = 0.0\nEND IF\nEND\n",
+                "IF condition in `T` is INTEGER, must be LOGICAL",
+            ),
+            (
+                "PROGRAM T\nREAL A(4)\nWHERE (A) A = 1.0\nEND\n",
+                "WHERE mask in `T` is REAL, must be LOGICAL",
+            ),
+            (
+                "PROGRAM T\nREAL A(4)\nFORALL (I=1:4, A(I) + 1) A(I) = 1.0\nEND\n",
+                "FORALL mask in `T` is REAL, must be LOGICAL",
+            ),
+            (
+                "PROGRAM T\nLOGICAL F\nIF (F .AND. 1) F = .NOT. 2.0\nEND\n",
+                ".AND./.OR. operand in `T` is INTEGER, must be LOGICAL",
+            ),
+            (
+                "PROGRAM T\nLOGICAL F\nF = .NOT. 2.0\nEND\n",
+                ".NOT. operand in `T` is REAL, must be LOGICAL",
+            ),
+            (
+                "PROGRAM T\nLOGICAL F\nF = 1\nEND\n",
+                "assignment of INTEGER to LOGICAL `F` in `T`",
+            ),
+            (
+                "PROGRAM T\nREAL A(4)\nLOGICAL M(4)\nM = A\nEND\n",
+                "assignment of REAL to LOGICAL `M` in `T`",
+            ),
+            (
+                "PROGRAM T\nINTEGER K\nK = .TRUE.\nEND\n",
+                "assignment of LOGICAL to INTEGER `K` in `T`",
+            ),
+            (
+                "PROGRAM T\nREAL A(4)\nC$ TEMPLATE T(4-5)\nC$ ALIGN A(I) WITH T(I)\n\
+                 C$ DISTRIBUTE T(BLOCK)\nEND\n",
+                "TEMPLATE `T` has non-positive extent -1",
+            ),
+        ] {
+            assert_eq!(analyze_src(src).unwrap_err().0, want);
+        }
+        // LOGICAL conditions and assignments of every shape still pass.
+        let ok = analyze_src(
+            "PROGRAM T\nREAL A(4)\nLOGICAL M(4), F\nIF (F .AND. .NOT. ANY(M)) THEN\n\
+             WHERE (M) A = 1.0\nEND IF\nIF (SUM(A) > 0.0) A(1) = 0.0\nWHERE (A > 0.0) A = 2.0\n\
+             FORALL (I=1:4, M(I)) A(I) = 3.0\nM = A > 1.0\nF = ALL(M)\nEND\n",
+        );
+        assert!(ok.is_ok(), "{ok:?}");
     }
 
     #[test]

@@ -31,6 +31,9 @@
 //!   clocks, mailboxes, tags, worker lease) and checked out again for the
 //!   next request, so a warmed-up server constructs no machines on its
 //!   hot path.
+//! * [`keyed`] — the keyed build cache behind every process-wide cache
+//!   (bytecode programs, communication schedules, the daemon's compiled
+//!   programs): sharded, per-key build slots, bounded.
 //! * [`pool`] / [`budget`] — the persistent chunked worker pool behind
 //!   [`machine::ExecMode::Threaded`] and the process-wide worker budget
 //!   that keeps `harness jobs × per-machine workers` within the host's
@@ -46,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+pub mod keyed;
 pub mod machine;
 pub mod memory;
 pub mod mpool;
@@ -56,6 +60,7 @@ pub mod transport;
 pub mod value;
 
 pub use budget::{WorkerBudget, WorkerLease};
+pub use keyed::KeyedCache;
 pub use machine::{ExecMode, Machine, MachineStats};
 pub use memory::{LocalArray, NodeMemory};
 pub use mpool::MachinePool;

@@ -18,17 +18,16 @@
 //! cache ([`f90d_comm::sched_cache`]) and the [`MachinePool`]. Each
 //! response reports which of those fired for it.
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use f90d_core::{compile, Compiled};
-use f90d_machine::{budget, MachinePool};
+use f90d_machine::{budget, KeyedCache, MachinePool};
 use serde::json::{Json, ParseLimits};
 
 use crate::admission::Admission;
@@ -38,9 +37,6 @@ use crate::protocol::{
     RunOutcome, RunRequest,
 };
 use crate::telemetry::ServerStats;
-
-/// Compiled programs kept server-side before an epoch-style clear.
-const COMPILED_CACHE_CAP: usize = 512;
 
 /// Daemon configuration (the binary's flags map onto this 1:1).
 #[derive(Debug, Clone)]
@@ -85,7 +81,7 @@ pub struct ServerState {
     pub pool: MachinePool,
     admission: Admission,
     inflight: Arc<Inflight<RunRequest, JobResult>>,
-    compiled: Mutex<HashMap<RunRequest, Arc<Compiled>>>,
+    compiled: KeyedCache<RunRequest, Compiled>,
     shutdown: AtomicBool,
 }
 
@@ -99,7 +95,9 @@ impl ServerState {
             pool,
             admission,
             inflight: Arc::new(Inflight::new()),
-            compiled: Mutex::new(HashMap::new()),
+            // Bounded: a daemon compiling novel programs must not grow
+            // without limit.
+            compiled: KeyedCache::new(512),
             shutdown: AtomicBool::new(false),
         }
     }
@@ -125,28 +123,15 @@ impl ServerState {
     }
 
     /// The compiled program for `req`, via the server-side cache.
-    /// Returns the program and whether the lookup hit.
+    /// Returns the program and whether the lookup hit. Compile errors
+    /// are 422 and are not cached.
     fn compiled_for(&self, req: &RunRequest) -> Result<(Arc<Compiled>, bool), Reject> {
-        if let Some(hit) = self.compiled.lock().unwrap().get(req) {
-            ServerStats::bump(&self.stats.compile_cache_hits);
-            return Ok((Arc::clone(hit), true));
-        }
-        // Compile outside the lock: the frontend is the expensive part,
-        // and concurrent *distinct* jobs must not serialize behind it.
-        let compiled = compile(&req.source, &req.compile_options()).map_err(|e| {
-            ServerStats::bump(&self.stats.compile_errors);
-            Reject::new(422, format!("compile error: {e}"))
-        })?;
-        ServerStats::bump(&self.stats.compile_cache_misses);
-        let arc = Arc::new(compiled);
-        let mut map = self.compiled.lock().unwrap();
-        if map.len() >= COMPILED_CACHE_CAP {
-            // Epoch-style clear, like the schedule cache: rebuild cost is
-            // bounded and the map can never grow without bound.
-            map.clear();
-        }
-        map.insert(req.clone(), Arc::clone(&arc));
-        Ok((arc, false))
+        self.compiled.get_or_try_build(req, || {
+            compile(&req.source, &req.compile_options()).map_err(|e| {
+                ServerStats::bump(&self.stats.compile_errors);
+                Reject::new(422, format!("compile error: {e}"))
+            })
+        })
     }
 
     /// Execute one job (the dedup leader's path).
@@ -234,10 +219,16 @@ impl ServerState {
         let sched = f90d_comm::sched_cache::global();
         let budget = budget::global();
         let n = Json::Num;
+        let mut server = self.stats.to_json_fields();
+        server.push(("compile_cache_hits".into(), n(self.compiled.hits() as f64)));
+        server.push((
+            "compile_cache_misses".into(),
+            n(self.compiled.misses() as f64),
+        ));
         ack_response(&[(
             "stats",
             Json::Obj(vec![
-                ("server".into(), Json::Obj(self.stats.to_json_fields())),
+                ("server".into(), Json::Obj(server)),
                 (
                     "admission".into(),
                     Json::Obj(vec![

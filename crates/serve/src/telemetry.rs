@@ -30,10 +30,6 @@ pub struct ServerStats {
     pub compile_errors: AtomicU64,
     /// Run requests whose execution failed (500).
     pub exec_errors: AtomicU64,
-    /// Server-side compiled-program cache hits (frontend skipped).
-    pub compile_cache_hits: AtomicU64,
-    /// Server-side compiled-program cache misses (full compiles).
-    pub compile_cache_misses: AtomicU64,
 }
 
 impl ServerStats {
@@ -55,8 +51,6 @@ impl ServerStats {
             ("oversized".into(), n(&self.oversized)),
             ("compile_errors".into(), n(&self.compile_errors)),
             ("exec_errors".into(), n(&self.exec_errors)),
-            ("compile_cache_hits".into(), n(&self.compile_cache_hits)),
-            ("compile_cache_misses".into(), n(&self.compile_cache_misses)),
         ]
     }
 }

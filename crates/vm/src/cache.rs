@@ -1,145 +1,8 @@
-//! Keyed program cache: repeated runs of the same (source, options,
-//! grid) triple — the bench harness's inner loops — skip lowering and
-//! share one immutable [`VmProgram`].
-//!
-//! The map is **sharded** so concurrent harness workers contend only on
-//! the shard owning their key, and each key gets a per-key slot lock so
-//! that N workers racing on the same cold key perform exactly **one**
-//! lowering: the first locks the slot and builds, the rest block on the
-//! slot (not the shard) and observe a hit. Lowerings of *different* keys
-//! proceed fully in parallel, even within one shard.
+//! The workspace's cache-key source hash. The bytecode program cache
+//! itself is `f90d_core::vm_cache`, a `f90d_machine::KeyedCache`.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-use crate::bytecode::VmProgram;
-
-/// Shard count. A small power of two: the workspace caches tens of
-/// programs, so this bounds contention, not capacity.
-const SHARDS: usize = 16;
-
-/// Per-key slot: the program once lowered, `None` while cold (or after a
-/// failed build, which is never cached).
-#[derive(Default)]
-struct Slot {
-    program: Mutex<Option<Arc<VmProgram>>>,
-}
-
-/// A sharded concurrent key → `Arc<VmProgram>` map with hit/miss
-/// counters. Shared by every harness worker (`Send + Sync`).
-pub struct ProgramCache {
-    shards: Vec<Mutex<HashMap<u64, Arc<Slot>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for ProgramCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ProgramCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        ProgramCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<Slot>>> {
-        &self.shards[(key % SHARDS as u64) as usize]
-    }
-
-    /// Lock, recovering from poison: `build` runs user lowering code
-    /// under the slot lock, and a panic there (e.g. a too-large program
-    /// table) must surface once — not cascade as `PoisonError` panics in
-    /// every other worker of that key. A poisoned slot still holds
-    /// `None`, so the next caller simply retries the build.
-    fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-        lock.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Look up `key`, lowering with `build` on a miss. `build` errors are
-    /// not cached. Concurrent callers with the same key block on the
-    /// per-key slot until the one lowering finishes, then all share it.
-    pub fn get_or_lower(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> Result<VmProgram, String>,
-    ) -> Result<Arc<VmProgram>, String> {
-        self.get_or_lower_traced(key, build).map(|(p, _)| p)
-    }
-
-    /// [`ProgramCache::get_or_lower`] that also reports whether this call
-    /// was a cache hit (`true`) or performed the lowering (`false`).
-    pub fn get_or_lower_traced(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> Result<VmProgram, String>,
-    ) -> Result<(Arc<VmProgram>, bool), String> {
-        let slot = {
-            let mut map = Self::recover(self.shard(key));
-            map.entry(key).or_default().clone()
-        };
-        // Shard lock released: the build below serializes only callers of
-        // this key.
-        let mut program = Self::recover(&slot.program);
-        if let Some(p) = program.as_ref() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((p.clone(), true));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let p = Arc::new(build()?);
-        *program = Some(p.clone());
-        Ok((p, false))
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (lowerings performed) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached programs (slots holding a finished lowering).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                // Snapshot the slots, then release the shard lock before
-                // touching any slot mutex: a slot may be mid-lowering,
-                // and holding the shard lock while waiting on it would
-                // stall lookups of every other key in the shard.
-                let slots: Vec<Arc<Slot>> = Self::recover(s).values().cloned().collect();
-                slots
-                    .iter()
-                    .filter(|slot| Self::recover(&slot.program).is_some())
-                    .count()
-            })
-            .sum()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every cached program (tests).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            Self::recover(s).clear();
-        }
-    }
-}
-
-/// FNV-1a over a byte string — the workspace's standard cache-key hash.
+/// FNV-1a over a byte string: `Compiled::source_hash` is this hash of
+/// the source text.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
@@ -147,78 +10,4 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn dummy() -> VmProgram {
-        VmProgram {
-            grid_shape: vec![1],
-            arrays: vec![],
-            scalars: vec![],
-            nvars: 0,
-            consts: vec![],
-            accessors: vec![],
-            code: vec![],
-            foralls: vec![],
-            comms: vec![],
-            rtcalls: vec![],
-            prints: vec![],
-            natives: vec![],
-        }
-    }
-
-    #[test]
-    fn hit_returns_same_program() {
-        let c = ProgramCache::new();
-        let a = c.get_or_lower(7, || Ok(dummy())).unwrap();
-        let b = c.get_or_lower(7, || panic!("must not re-lower")).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((c.hits(), c.misses(), c.len()), (1, 1, 1));
-    }
-
-    #[test]
-    fn traced_reports_miss_then_hit() {
-        let c = ProgramCache::new();
-        let (_, hit0) = c.get_or_lower_traced(3, || Ok(dummy())).unwrap();
-        let (_, hit1) = c.get_or_lower_traced(3, || Ok(dummy())).unwrap();
-        assert!(!hit0);
-        assert!(hit1);
-    }
-
-    #[test]
-    fn errors_are_not_cached() {
-        let c = ProgramCache::new();
-        assert!(c.get_or_lower(1, || Err("nope".into())).is_err());
-        assert!(c.is_empty());
-        assert!(c.get_or_lower(1, || Ok(dummy())).is_ok());
-    }
-
-    #[test]
-    fn build_panic_does_not_poison_the_key() {
-        let c = ProgramCache::new();
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = c.get_or_lower(5, || -> Result<VmProgram, String> {
-                panic!("lowering bug")
-            });
-        }));
-        assert!(panicked.is_err());
-        // The slot is recoverable, not poisoned: the next caller retries
-        // the build instead of cascading a PoisonError panic.
-        let p = c.get_or_lower(5, || Ok(dummy())).unwrap();
-        assert_eq!(p.grid_shape, vec![1]);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn keys_spread_over_shards() {
-        let c = ProgramCache::new();
-        for k in 0..64 {
-            c.get_or_lower(k, || Ok(dummy())).unwrap();
-        }
-        assert_eq!(c.len(), 64);
-        assert!(c.shards.iter().all(|s| !s.lock().unwrap().is_empty()));
-    }
 }

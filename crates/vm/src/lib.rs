@@ -25,7 +25,7 @@
 //!   when a kernel's preconditions fail.
 //! * [`ops`] — value-level operator semantics, shared with the
 //!   sequential reference interpreter.
-//! * [`cache`] — keyed program cache so repeated runs skip lowering.
+//! * [`cache`] — the source hash that keys the program cache.
 
 #![warn(missing_docs)]
 
@@ -36,5 +36,4 @@ pub mod native;
 pub mod ops;
 
 pub use bytecode::VmProgram;
-pub use cache::ProgramCache;
 pub use engine::{Engine, RunReport, VmError};
